@@ -40,7 +40,8 @@ from .quadform import (
 from .smooth4 import analyze_intersection_form
 
 CONDUCTOR_CAP = 64
-FIXTURE_RANK_CAP = 64
+# largest matrix side, generator count and relator count the CLI accepts
+SHAPE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,14 @@ class CommandResult:
             "payload": self.payload,
             "diagnostics": list(self.diagnostics),
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        try:
+            return json.dumps(doc, sort_keys=True, indent=2)
+        except ValueError as exc:
+            # json raises ValueError only for an int past Python's int->str limit
+            raise CapExceededError(
+                "result holds an integer longer than Python's "
+                f"{sys.get_int_max_str_digits()}-digit limit for int-to-str conversion"
+            ) from exc
 
 
 class _UsageError(ValueError):
@@ -88,19 +96,22 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _check_shape(what: str, size: int) -> None:
+    if size > SHAPE_CAP:
+        raise CapExceededError(f"{what} {size} exceeds the cap {SHAPE_CAP}")
+
+
 def _matrix_from_json(doc) -> IntMatrix:
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ValueError('matrix JSON must be an object with a "rows" key')
     rows = doc["rows"]
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ValueError('"rows" must be a list of lists of integers')
+    _check_shape("matrix row count", len(rows))
+    _check_shape("matrix column count", max(map(len, rows), default=0))
     return IntMatrix.from_rows(
         [[_require_int(x, "matrix entry") for x in row] for row in rows]
     )
-
-
-def _matrix_to_rows(m: IntMatrix) -> list[list[int]]:
-    return m.to_rows()
 
 
 def _presentation_from_json(doc) -> GroupPresentation:
@@ -110,6 +121,8 @@ def _presentation_from_json(doc) -> GroupPresentation:
     relators = doc.get("relators", [])
     if not isinstance(relators, list) or not all(isinstance(w, list) for w in relators):
         raise ValueError('"relators" must be a list of lists of signed indices')
+    _check_shape("generator count", gens)
+    _check_shape("relator count", len(relators))
     return GroupPresentation.from_lists(
         gens, [[_require_int(x, "relator letter") for x in w] for w in relators]
     )
@@ -152,9 +165,9 @@ def _cmd_snf(args) -> CommandResult:
     matrix = _matrix_from_json(_load_json_file(args.matrix_file))
     result = snf(matrix)
     payload = {
-        "S": _matrix_to_rows(result.S),
-        "U": _matrix_to_rows(result.U),
-        "V": _matrix_to_rows(result.V),
+        "S": result.S.to_rows(),
+        "U": result.U.to_rows(),
+        "V": result.V.to_rows(),
         "diagonal": list(result.diagonal),
     }
     return CommandResult("ok", payload)
@@ -181,7 +194,7 @@ def _cmd_trace_form(args) -> CommandResult:
         payload = {
             "kind": "odd_prime",
             "parameter": args.prime,
-            "gram": _matrix_to_rows(form.gram),
+            "gram": form.gram.to_rows(),
             "invariants": _invariants_payload(form),
         }
     elif args.two_power is not None:
@@ -191,7 +204,7 @@ def _cmd_trace_form(args) -> CommandResult:
         payload = {
             "kind": "two_power",
             "parameter": n,
-            "gram": _matrix_to_rows(form.gram),
+            "gram": form.gram.to_rows(),
             "invariants": _invariants_payload(form),
             "signature_claimed": claimed,
             "signature_computed": computed,
@@ -211,7 +224,7 @@ def _cmd_trace_form(args) -> CommandResult:
         payload = {
             "kind": "conductor",
             "parameter": n,
-            "gram": _matrix_to_rows(gram),
+            "gram": gram.to_rows(),
             "invariants": _invariants_payload(form),
         }
     return CommandResult("ok", payload, tuple(diagnostics))
@@ -225,7 +238,7 @@ def _cmd_group_ring(args) -> CommandResult:
     if args.frobenius:
         form = frobenius_form(group)
         payload["frobenius"] = {
-            "gram": _matrix_to_rows(form.gram),
+            "gram": form.gram.to_rows(),
             "symmetric": is_symmetric_form(form),
             "commutative": group.is_abelian(),
         }
@@ -259,10 +272,7 @@ def _fixture_form(name: str) -> BilinearForm:
         n = int(name.split(":", 1)[1])
         if n < 1:
             raise ValueError("fixture In:n needs n >= 1")
-        if n > FIXTURE_RANK_CAP:
-            raise CapExceededError(
-                f"fixture rank {n} exceeds the cap {FIXTURE_RANK_CAP}"
-            )
+        _check_shape("fixture rank", n)
         return BilinearForm(IntMatrix.identity(n))
     raise ValueError(f"unknown fixture {name!r} (use e8, e8e8, or In:n)")
 
@@ -298,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="Smith normal form of an integer matrix",
         description=(
             "Smith normal form S = U*A*V of an integer matrix, with unimodular "
-            'U and V. Input file: {"rows": [[int, ...], ...]}.'
+            'U and V. Input file: {"rows": [[int, ...], ...]}, at most 64 rows '
+            "and 64 columns."
         ),
     )
     p_snf.add_argument("matrix_file")
@@ -309,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="first homology of a finitely presented group",
         description=(
             "Abelianization of a presentation via the relator exponent matrix. "
-            'Input file: {"generators": 2, "relators": [[1, 1, -2, -2, -2]]}. '
+            'Input file: {"generators": 2, "relators": [[1, 1, -2, -2, -2]]}, '
+            "at most 64 generators and 64 relators. "
             "--galois adds the automorphism report of the result."
         ),
     )
@@ -375,15 +387,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        result = args.handler(args)
+        text = args.handler(args).to_json()
         code = 0
     except CapExceededError as exc:
-        result = CommandResult("error", {}, (str(exc),))
+        text = CommandResult("error", {}, (str(exc),)).to_json()
         code = 2
     except (_UsageError, ValueError, OSError) as exc:
-        result = CommandResult("error", {}, (str(exc),))
+        text = CommandResult("error", {}, (str(exc),)).to_json()
         code = 1
-    print(result.to_json())
+    print(text)
     return code
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -198,140 +198,162 @@ class SNFResult:
     diagonal: tuple[int, ...]
 
 
-def snf(A: IntMatrix) -> SNFResult:
-    """Smith normal form over the integers.
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
 
-    Pivot choice is the smallest nonzero absolute value in the remaining
-    block, scanned row-major (first hit wins on ties), which makes U and V
-    reproducible run to run. S stays small; the witness entries of U and V
-    can grow quickly on large dense inputs, the usual price of exact
-    elementary transforms (fine at desk scale, roughly 32x32 and below).
+
+def _hnf(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Canonical row Hermite normal form: its nonzero rows, pivots left to right.
+
+    Rows are inserted one at a time. A new row meets the pivot rows in column
+    order: where the pivot divides its entry it is cleared by subtraction,
+    otherwise an extended-gcd 2x2 step (determinant -1) makes the pivot the
+    gcd and clears the entry; where it leads in a column with no pivot it
+    becomes a pivot row. Then every entry above a pivot whose row changed is
+    reduced into [0, pivot). The basis is thus the fully reduced Hermite form
+    of the rows seen so far after every insertion, which keeps all entries
+    polynomially bounded (Kannan & Bachem, SIAM J. Comput. 8, 1979).
+    """
+    basis: list[list[int]] = []
+    cols: list[int] = []  # pivot column of each basis row
+    for row in rows:
+        r = list(row)
+        width = len(r)
+        changed = -1  # first basis index whose row changed
+        start = k = 0
+        while True:
+            end = cols[k] if k < len(basis) else width
+            lead = next((j for j in range(start, end) if r[j]), None)
+            if lead is not None:
+                basis.insert(k, r if r[lead] > 0 else [-x for x in r])
+                cols.insert(k, lead)
+                if changed < 0:
+                    changed = k
+                break
+            if k == len(basis):
+                break  # the row lies in the span of the basis
+            c, p = end, basis[k]
+            if r[c]:
+                a, b = p[c], r[c]
+                if b % a == 0:
+                    q = b // a
+                    r[c:] = [x - q * y for x, y in zip(r[c:], p[c:])]
+                else:
+                    g, x, y = _xgcd(a, b)
+                    a, b = a // g, b // g
+                    pt, rt = p[c:], r[c:]
+                    p[c:] = [x * s + y * t for s, t in zip(pt, rt)]
+                    r[c:] = [b * s - a * t for s, t in zip(pt, rt)]
+                    if changed < 0:
+                        changed = k
+            start = c + 1
+            k += 1
+        if changed < 0:
+            continue
+        # each row reduces against the later pivots, from the first changed
+        # one on: pivot rows before `changed` and their columns are untouched
+        for i in range(len(basis) - 1, -1, -1):
+            bi = basis[i]
+            for j in range(max(i + 1, changed), len(basis)):
+                c, bj = cols[j], basis[j]
+                q = bi[c] // bj[c]
+                if q:
+                    bi[c:] = [x - q * y for x, y in zip(bi[c:], bj[c:])]
+    return basis
+
+
+def _transpose(rows: list[list[int]]) -> list[list[int]]:
+    return [list(col) for col in zip(*rows)]
+
+
+def _is_diagonal(rows: list[list[int]]) -> bool:
+    return not any(any(r[:i]) or any(r[i + 1 :]) for i, r in enumerate(rows))
+
+
+def _chain_steps(d: list[int]) -> Iterator[tuple[int, int, int, int, int, int]]:
+    """Make positive d_1, ..., d_k a divisibility chain in place.
+
+    Each pair d_i, d_j (i < j) with d_i not dividing d_j becomes gcd, lcm;
+    every such step yields (i, j, a/g, b/g, x, y) with g = x*a + y*b.
+    """
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            a, b = d[i], d[j]
+            if b % a:
+                g, x, y = _xgcd(a, b)
+                d[i], d[j] = g, a // g * b
+                yield i, j, a // g, b // g, x, y
+
+
+def snf(A: IntMatrix) -> SNFResult:
+    """Smith normal form over the integers, with witnesses U and V.
+
+    Alternates canonical row Hermite normal forms of [S | U] and of
+    [S^T | V^T] until S is diagonal, then turns the diagonal into the
+    divisibility chain with 2x2 gcd/lcm steps. Each pass holds S and the
+    witness block fully reduced, so U and V stay polynomially bounded in the
+    input size (a few hundred bits for random 64x64 inputs with entries of
+    one digit) and are reproducible run to run.
     """
     m, n = A.rows, A.cols
-    s = A.to_rows()
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    v = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def swap_rows(i: int, j: int) -> None:
-        if i != j:
-            s[i], s[j] = s[j], s[i]
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i: int, j: int) -> None:
-        if i != j:
-            for r in s:
-                r[i], r[j] = r[j], r[i]
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(src: int, dst: int, c: int) -> None:
-        s[dst] = [a + c * b for a, b in zip(s[dst], s[src])]
-        u[dst] = [a + c * b for a, b in zip(u[dst], u[src])]
-
-    def add_col(src: int, dst: int, c: int) -> None:
-        for r in s:
-            r[dst] += c * r[src]
-        for r in v:
-            r[dst] += c * r[src]
-
-    def negate_row(i: int) -> None:
-        s[i] = [-x for x in s[i]]
-        u[i] = [-x for x in u[i]]
-
-    def smallest_pivot(t: int) -> tuple[int, int] | None:
-        best = None
-        pos = None
-        for i in range(t, m):
-            for j in range(t, n):
-                val = s[i][j]
-                if val != 0 and (best is None or abs(val) < best):
-                    best = abs(val)
-                    pos = (i, j)
-        return pos
-
-    def balanced_quotient(a: int, p: int) -> int:
-        # nearest quotient: remainder lands in [-p/2, p/2], which keeps the
-        # multipliers (and hence U, V) from blowing up exponentially
-        q, r = divmod(a, p)
-        return q + 1 if 2 * r > p else q
-
-    def clear_at(t: int) -> None:
-        # Euclidean sweep: kill row t and column t beyond the pivot. Any
-        # nonzero remainder is strictly smaller in absolute value than the
-        # pivot and gets swapped into the pivot position, so the loop
-        # terminates.
-        while True:
-            if s[t][t] < 0:
-                negate_row(t)
-            p = s[t][t]
-            restart = False
-            for i in range(t + 1, m):
-                if s[i][t]:
-                    q = balanced_quotient(s[i][t], p)
-                    if q:
-                        add_row(t, i, -q)
-                    if s[i][t]:
-                        swap_rows(t, i)
-                        restart = True
-                        break
-            if restart:
-                continue
-            for j in range(t + 1, n):
-                if s[t][j]:
-                    q = balanced_quotient(s[t][j], p)
-                    if q:
-                        add_col(t, j, -q)
-                    if s[t][j]:
-                        swap_cols(t, j)
-                        restart = True
-                        break
-            if restart:
-                continue
-            return
+    a = A.to_rows()
+    # a and wa are the matrix and witness on the side being reduced, wb the
+    # other witness, all kept as rows: (S, U, V^T) or (S^T, V^T, U).
+    wa = [[int(i == j) for j in range(m)] for i in range(m)]
+    wb = [[int(i == j) for j in range(n)] for i in range(n)]
+    flipped = False
+    while True:
+        width = len(a[0])
+        h = _hnf([x + w for x, w in zip(a, wa)])
+        a, wa = [r[:width] for r in h], [r[width:] for r in h]
+        if _is_diagonal(a):
+            break
+        a, wa, wb = _transpose(a), wb, wa
+        flipped = not flipped
+    s, u, vt = (_transpose(a), wb, wa) if flipped else (a, wa, wb)
 
     r = min(m, n)
-    for t in range(r):
-        pos = smallest_pivot(t)
-        if pos is None:
-            break  # remaining block is zero; trailing diagonal stays zero
-        swap_rows(t, pos[0])
-        swap_cols(t, pos[1])
-        clear_at(t)
+    d = [s[i][i] for i in range(r) if s[i][i]]
+    for i, j, a_g, b_g, x, y in _chain_steps(d):
+        # diag(a, b) -> diag(g, lcm): rows by [[x, y], [-b/g, a/g]],
+        # columns by [[1, -y*b/g], [1, x*a/g]]; both have determinant 1
+        ui, uj = u[i], u[j]
+        u[i] = [x * p + y * q for p, q in zip(ui, uj)]
+        u[j] = [a_g * q - b_g * p for p, q in zip(ui, uj)]
+        vi, vj = vt[i], vt[j]
+        vt[i] = [p + q for p, q in zip(vi, vj)]
+        vt[j] = [x * a_g * q - y * b_g * p for p, q in zip(vi, vj)]
+        s[i][i], s[j][j] = d[i], d[j]
 
-    for i in range(r):
-        if s[i][i] < 0:
-            negate_row(i)
-
-    # Enforce the divisibility chain. Folding column i+1 into column i puts
-    # (a, b) side by side in row i; re-clearing replaces the 2x2 block
-    # diag(a, b) by diag(gcd, lcm). Each fix strictly shrinks the first
-    # violating entry, so the passes terminate.
-    while True:
-        violation = None
-        for i in range(r - 1):
-            a, b = s[i][i], s[i + 1][i + 1]
-            if a == 0:
-                if b != 0:
-                    raise AssertionError("zero before nonzero on SNF diagonal")
-                continue
-            if b % a != 0:
-                violation = i
-                break
-        if violation is None:
-            break
-        add_col(violation + 1, violation, 1)
-        clear_at(violation)
-        for k in (violation, violation + 1):
-            if s[k][k] < 0:
-                negate_row(k)
-
-    S = IntMatrix.from_rows(s)
     return SNFResult(
-        S=S,
+        S=IntMatrix.from_rows(s),
         U=IntMatrix.from_rows(u),
-        V=IntMatrix.from_rows(v),
+        V=IntMatrix.from_rows(_transpose(vt)),
         diagonal=tuple(s[i][i] for i in range(r)),
     )
+
+
+def snf_diagonal(A: IntMatrix) -> tuple[int, ...]:
+    """The Smith normal form diagonal of A alone, without witnesses.
+
+    Same alternating Hermite passes as `snf` on A itself: no identity block
+    rides along and zero rows drop out, so each pass works on the rank-sized
+    part. Equal to `snf(A).diagonal`.
+    """
+    a = _hnf(A.to_rows())
+    while not _is_diagonal(a):
+        a = _hnf(_transpose(a))
+    d = [a[i][i] for i in range(len(a))]
+    for _ in _chain_steps(d):
+        pass
+    return tuple(d) + (0,) * (min(A.rows, A.cols) - len(d))
 
 
 def determinant(A: IntMatrix) -> int:

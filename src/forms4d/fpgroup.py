@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .cyclotomic import euler_phi
 from .errors import CapExceededError
-from .exactla import IntMatrix, snf
+# `snf` stays bound here because perfbench/tracing.py wraps fpgroup.snf by name
+from .exactla import IntMatrix, snf, snf_diagonal  # noqa: F401
 from .groupring import FiniteGroup, abelian_group
 
 AUT_BRUTEFORCE_ORDER_CAP = 200
@@ -88,11 +89,11 @@ def exponent_matrix(p: GroupPresentation) -> IntMatrix | None:
 
 
 def abelianize(p: GroupPresentation) -> AbelianizationResult:
-    """First homology of the presented group, via Smith normal form."""
+    """First homology of the presented group, via the Smith normal form diagonal."""
     mat = exponent_matrix(p)
     if mat is None:
         return AbelianizationResult(free_rank=p.generators, torsion=())
-    diag = snf(mat).diagonal
+    diag = snf_diagonal(mat)
     nonzero = sum(1 for d in diag if d)
     return AbelianizationResult(
         free_rank=p.generators - nonzero,

@@ -1,4 +1,5 @@
 import json
+import sys
 
 from forms4d.cli import main
 from forms4d.groupring import symmetric_group_s3
@@ -60,6 +61,23 @@ def test_snf_arbitrary_precision_entries(tmp_path, capsys):
     assert doc["payload"]["diagonal"] == [1, 2 * big]
 
 
+def test_snf_digit_limit_exits_two(tmp_path, capsys):
+    # lcm of the two coprime entries has 4401 digits, past the int->str limit
+    path = write_json(tmp_path, "m.json", {"rows": [[10**2200 + 1, 0], [0, 10**2200 + 3]]})
+    code, doc, _ = run_cli(capsys, "snf", path)
+    assert code == 2
+    assert doc["status"] == "error"
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in doc["diagnostics"][0]
+
+
+def test_snf_shape_cap(tmp_path, capsys):
+    for rows in ([[0] * 65], [[0]] * 65, [[1] * 65 for _ in range(65)]):
+        path = write_json(tmp_path, "m.json", {"rows": rows})
+        code, doc, _ = run_cli(capsys, "snf", path)
+        assert code == 2
+        assert "65 exceeds the cap 64" in doc["diagnostics"][0]
+
+
 def test_output_is_deterministic(tmp_path, capsys):
     path = write_json(tmp_path, "m.json", {"rows": [[3, 1], [-4, 2]]})
     _, _, first = run_cli(capsys, "snf", path)
@@ -99,6 +117,14 @@ def test_abelianize_galois_cap(tmp_path, capsys):
     code, doc, _ = run_cli(capsys, "abelianize", path, "--galois")
     assert code == 2
     assert "cap" in doc["diagnostics"][0]
+
+
+def test_abelianize_shape_cap(tmp_path, capsys):
+    for doc in ({"generators": 65, "relators": [[1]]}, {"generators": 1, "relators": [[1]] * 65}):
+        path = write_json(tmp_path, "p.json", doc)
+        code, out, _ = run_cli(capsys, "abelianize", path)
+        assert code == 2
+        assert "65 exceeds the cap 64" in out["diagnostics"][0]
 
 
 def test_trace_form_prime(capsys):
@@ -223,6 +249,14 @@ def test_analyze_form_fixture_rank_cap(capsys):
     code, doc, _ = run_cli(capsys, "analyze-form", "--fixture", "In:100000")
     assert code == 2
     assert "64" in doc["diagnostics"][0]
+
+
+def test_analyze_form_gram_shape_cap(tmp_path, capsys):
+    rows = [[int(i == j) for j in range(65)] for i in range(65)]
+    path = write_json(tmp_path, "g.json", {"rows": rows})
+    code, doc, _ = run_cli(capsys, "analyze-form", path)
+    assert code == 2
+    assert "65 exceeds the cap 64" in doc["diagnostics"][0]
 
 
 def test_analyze_form_witt_expressions(capsys):

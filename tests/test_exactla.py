@@ -1,7 +1,10 @@
+import math
 import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forms4d.exactla import (
     IntMatrix,
@@ -10,6 +13,7 @@ from forms4d.exactla import (
     determinant,
     signature,
     snf,
+    snf_diagonal,
 )
 from forms4d.quadform import e8_form
 
@@ -87,6 +91,60 @@ def test_snf_medium_size_stays_tractable():
     assert res.U @ a @ res.V == res.S
     assert abs(determinant(res.U)) == 1
     assert abs(determinant(res.V)) == 1
+
+
+def test_snf_scale_and_witness_size():
+    # B = k*log2(sqrt(k)*max|a_ij|), k = max(m, n), is the Hadamard-type bit
+    # size of a k-minor; the witnesses must stay within a small multiple of it
+    rng = random.Random(64)
+    start = time.perf_counter()
+    for m, n in [(64, 64), (64, 40), (40, 64), (48, 48)]:
+        a = random_int_matrix(rng, m, n)
+        res = snf(a)
+        assert res.U @ a @ res.V == res.S
+        assert abs(determinant(res.U)) == 1
+        assert abs(determinant(res.V)) == 1
+        k = max(m, n)
+        bound = k * math.log2(math.sqrt(k) * max(abs(x) for x in a.entries))
+        bits = max(abs(x).bit_length() for w in (res.U, res.V) for x in w.entries)
+        assert bits <= 2 * bound + 64, (m, n, bits, bound)
+    assert time.perf_counter() - start < 5.0
+
+
+@st.composite
+def small_matrices(draw, bound=20):
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    entry = st.integers(-bound, bound)
+    return IntMatrix.from_rows([[draw(entry) for _ in range(n)] for _ in range(m)])
+
+
+@settings(deadline=None)
+@given(small_matrices())
+def test_snf_properties(a):
+    res = snf(a)
+    assert res.U @ a @ res.V == res.S
+    assert abs(determinant(res.U)) == 1
+    assert abs(determinant(res.V)) == 1
+    assert res.diagonal == tuple(res.S.at(i, i) for i in range(min(a.rows, a.cols)))
+    d = res.diagonal
+    assert all(x >= 0 for x in d)
+    for x, y in zip(d, d[1:]):
+        assert y == 0 if x == 0 else y % x == 0
+
+
+@settings(deadline=None)
+@given(small_matrices())
+def test_snf_diagonal_matches_snf(a):
+    assert snf_diagonal(a) == snf(a).diagonal
+
+
+@settings(deadline=None)
+@given(small_matrices(), st.randoms(use_true_random=False))
+def test_snf_diagonal_is_unimodular_invariant(a, rng):
+    p = random_unimodular(rng, a.rows)
+    q = random_unimodular(rng, a.cols)
+    assert snf(p @ a @ q).diagonal == snf(a).diagonal
 
 
 def test_snf_is_deterministic():
