@@ -3,9 +3,8 @@
 Z[zeta_n] has the power basis 1, zeta, ..., zeta^(phi(n)-1) modulo the n-th
 cyclotomic polynomial. The trace of an element is the trace of its
 multiplication matrix on that basis, and tr(x*y) makes the ring a symmetric
-bilinear lattice. A floating-point sum over the primitive roots of unity
-reproduces the same numbers, which is exactly how the test suite keeps the
-exact arithmetic honest.
+bilinear lattice. tr(zeta^k) is the Ramanujan sum mu(n/g) phi(n)/phi(n/g)
+with g = gcd(n, k), so the trace-form Gram needs no multiplications at all.
 """
 
 from forms4d import (
@@ -13,7 +12,6 @@ from forms4d import (
     cyc_mul,
     cyc_trace,
     cyclotomic_polynomial,
-    embedding_trace_oracle,
     invariants,
     trace_form_gram,
 )
@@ -26,7 +24,6 @@ z = CyclotomicElement.zeta(12)
 x = cyc_mul(z, z) + CyclotomicElement.one(12)   # 1 + zeta^2
 print("\nin Z[zeta_12]: (1 + zeta^2) has coordinates", x.coeffs)
 print("exact trace:", cyc_trace(x))
-print("numeric conjugate sum:", round(embedding_trace_oracle(x), 9))
 
 print("\ntrace-form Gram matrices tr(zeta^i * zeta^j):")
 for n in (3, 4, 5):

@@ -1,14 +1,20 @@
 """Abelianization of finitely presented groups and automorphism reports.
 
 H_1 of a presentation is the cokernel of the relator exponent matrix,
-computed through Smith normal form. The automorphism group of the result is
-then sized by brute force (the ground truth) or, for coprime cyclic pieces,
-by the product-of-totients formula. Knot-group style presentations with
-H_1 = Z show how an abelian, finite automorphism report coexists with an
-infinite H_1.
+computed through Smith normal form. The automorphism group of the torsion
+is then sized by the Hillar-Rhea formula for finite abelian groups, which
+brute-force enumeration confirms on small groups. Knot-group style
+presentations with H_1 = Z show how an abelian, finite automorphism report
+coexists with an infinite H_1.
 """
 
-from forms4d import GroupPresentation, abelianize, aut_bruteforce, galois_surrogate
+from forms4d import (
+    GroupPresentation,
+    abelian_aut_order,
+    abelianize,
+    aut_bruteforce,
+    galois_surrogate,
+)
 from forms4d.groupring import abelian_group
 
 examples = {
@@ -32,10 +38,11 @@ for name, pres in examples.items():
     if report.free_rank_note:
         print("   note:", report.free_rank_note)
 
-# The formula Aut(G + H) = Aut(G) + Aut(H) needs coprime orders; Z/2 + Z/2
-# is the standard counterexample and brute force exposes it.
+# Aut(G + H) = Aut(G) x Aut(H) needs coprime orders; Z/2 + Z/2 is the standard
+# counterexample (Aut = GL_2(F_2) = S3), and the formula and brute force agree on it.
 klein_four = aut_bruteforce(abelian_group([2, 2]))
 print(
-    f"\nZ/2 + Z/2: |Aut| = {klein_four.torsion_aut_order} "
-    f"(abelian={klein_four.is_abelian}) -- the coprime splitting does not apply"
+    f"\nZ/2 + Z/2: |Aut| = {klein_four.torsion_aut_order} by brute force, "
+    f"{abelian_aut_order([2, 2])} by formula (abelian={klein_four.is_abelian}) "
+    "-- the coprime splitting does not apply"
 )

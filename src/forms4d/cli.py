@@ -19,15 +19,12 @@ from .cyclotomic import trace_form_gram
 from .errors import CapExceededError
 from .exactla import IntMatrix, snf
 from .fpgroup import GroupPresentation, abelianize, aut_bruteforce, galois_surrogate
-from .groupring import (
-    FiniteGroup,
-    abelian_group,
-    frobenius_form,
-    is_symmetric_form,
-    wedderburn_decompose,
-)
+from .groupring import FiniteGroup, abelian_group, frobenius_form, wedderburn_decompose
 from .quadform import (
     BilinearForm,
+    Diag,
+    Hyperbolic,
+    WittExpression,
     direct_sum,
     e8_form,
     from_witt,
@@ -40,8 +37,10 @@ from .quadform import (
 from .smooth4 import analyze_intersection_form
 
 CONDUCTOR_CAP = 64
-# largest matrix side, generator count and relator count the CLI accepts
+# largest matrix side, form rank, --prime, generator count and relator count the CLI accepts
 SHAPE_CAP = 64
+# largest --two-power exponent n; the model has rank 2^(n+1) = 256
+TWO_POWER_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -99,6 +98,23 @@ def _require_int(value, what: str) -> int:
 def _check_shape(what: str, size: int) -> None:
     if size > SHAPE_CAP:
         raise CapExceededError(f"{what} {size} exceeds the cap {SHAPE_CAP}")
+
+
+def _witt_rank(expr: WittExpression) -> int:
+    """Rank of a Witt expression, refusing a Pfister block too large to build."""
+    rank = 0
+    for term in expr.terms:
+        if isinstance(term, Diag):
+            rank += term.count
+        elif isinstance(term, Hyperbolic):
+            rank += 2 * term.count
+        elif term.n >= SHAPE_CAP.bit_length():  # 2^n > SHAPE_CAP; 2^n is never evaluated
+            raise CapExceededError(
+                f"Witt term 2^{term.n}<1> has rank 2^{term.n}, which exceeds the cap {SHAPE_CAP}"
+            )
+        else:
+            rank += 2**term.n
+    return rank
 
 
 def _matrix_from_json(doc) -> IntMatrix:
@@ -190,6 +206,7 @@ def _cmd_abelianize(args) -> CommandResult:
 def _cmd_trace_form(args) -> CommandResult:
     diagnostics: list[str] = []
     if args.prime is not None:
+        _check_shape("prime", args.prime)
         form = odd_prime_trace_form(args.prime)
         payload = {
             "kind": "odd_prime",
@@ -199,6 +216,8 @@ def _cmd_trace_form(args) -> CommandResult:
         }
     elif args.two_power is not None:
         n = args.two_power
+        if n > TWO_POWER_CAP:
+            raise CapExceededError(f"two-power exponent {n} exceeds the cap {TWO_POWER_CAP}")
         form = two_power_trace_form(n)
         claimed, computed = two_power_signature_values(n)
         payload = {
@@ -239,7 +258,7 @@ def _cmd_group_ring(args) -> CommandResult:
         form = frobenius_form(group)
         payload["frobenius"] = {
             "gram": form.gram.to_rows(),
-            "symmetric": is_symmetric_form(form),
+            "symmetric": form.gram.is_symmetric(),
             "commutative": group.is_abelian(),
         }
     if args.decompose:
@@ -281,7 +300,9 @@ def _cmd_analyze_form(args) -> CommandResult:
     if args.fixture is not None:
         form = _fixture_form(args.fixture)
     elif args.witt is not None:
-        form = from_witt(parse_witt(args.witt))
+        expr = parse_witt(args.witt)
+        _check_shape("Witt expression rank", _witt_rank(expr))
+        form = from_witt(expr)
     else:
         form = BilinearForm(_matrix_from_json(_load_json_file(args.gram_file)))
     report = analyze_intersection_form(form)
@@ -333,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
         "trace-form",
         help="Gram matrices of cyclotomic trace forms",
         description=(
-            "Trace-form Gram matrices: --prime p for the diagonal odd-prime "
-            "model I_p, --two-power n for the rank 2^(n+1) diagonal model "
-            "(reports claimed and computed signatures), --conductor n for the "
-            "exact power-basis Gram of Z[zeta_n]."
+            "Trace-form Gram matrices: --prime p (at most 64) for the diagonal "
+            "odd-prime model I_p, --two-power n (at most 7) for the rank 2^(n+1) "
+            "diagonal model (reports claimed and computed signatures), --conductor "
+            "n (at most 64) for the exact power-basis Gram of Z[zeta_n]."
         ),
     )
     sel = p_tf.add_mutually_exclusive_group(required=True)
@@ -370,8 +391,8 @@ def build_parser() -> argparse.ArgumentParser:
             'Gram file {"rows": [[...], ...]}, --fixture e8 | e8e8 | In:n, or '
             "--witt with a Witt expression such as '7<1> + H + 2^4<1>' "
             "(k<1>/k<-1> diagonal blocks, H or kxH hyperbolic planes, 2^n<1> "
-            "Pfister blocks). Non-unimodular input is rejected with its "
-            "determinant named."
+            "Pfister blocks). Forms of rank over 64 are refused. Non-unimodular "
+            "input is rejected with its determinant named."
         ),
     )
     target = p_an.add_mutually_exclusive_group(required=True)

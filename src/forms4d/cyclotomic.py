@@ -1,25 +1,19 @@
 """Exact arithmetic in rings of cyclotomic integers.
 
 Elements of Z[zeta_n] live in the power basis {1, zeta, ..., zeta^(phi(n)-1)}
-modulo the n-th cyclotomic polynomial. Traces are exact regular-representation
-traces; the floating-point conjugate sum exists only as an independent test
-oracle and never feeds the implementation.
+modulo the n-th cyclotomic polynomial. Traces are exact: tr(zeta^k) is a
+Ramanujan sum, so the trace of an element is a dot product with its
+coordinates and the trace-form Gram is a Hankel matrix of Ramanujan sums.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
-import mpmath
-
 from .exactla import IntMatrix
-
-DEFAULT_ORACLE_DIGITS = 30
-PRECISION_ENV_VAR = "FORMS4D_PRECISION"
+from .nt import euler_phi, ramanujan_sum
 
 
 @dataclass(frozen=True)
@@ -126,24 +120,6 @@ def _x_power_minus_one(n: int) -> IntPolynomial:
 
 
 @functools.lru_cache(maxsize=None)
-def euler_phi(n: int) -> int:
-    if n < 1:
-        raise ValueError("phi is defined for positive integers")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-@functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> IntPolynomial:
     """The n-th cyclotomic polynomial, by exact division of x^n - 1.
 
@@ -233,18 +209,9 @@ def cyc_mul(a: CyclotomicElement, b: CyclotomicElement) -> CyclotomicElement:
 def cyc_trace(a: CyclotomicElement) -> int:
     """Trace of multiplication-by-a on the power basis of Q(zeta_n).
 
-    Column j of the multiplication matrix is a * zeta^j; only its j-th
-    coordinate contributes to the trace, so the matrix is never stored.
+    The trace is linear and tr(zeta^j) is the Ramanujan sum c_n(j).
     """
-    deg = euler_phi(a.n)
-    z = CyclotomicElement.zeta(a.n)
-    cur = a
-    total = 0
-    for j in range(deg):
-        total += cur.coeffs[j]
-        if j + 1 < deg:
-            cur = cyc_mul(cur, z)
-    return total
+    return sum(c * ramanujan_sum(a.n, j) for j, c in enumerate(a.coeffs))
 
 
 def trace_form_gram(n: int) -> IntMatrix:
@@ -252,31 +219,5 @@ def trace_form_gram(n: int) -> IntMatrix:
     if n < 1:
         raise ValueError("conductor must be >= 1")
     deg = euler_phi(n)
-    z = CyclotomicElement.zeta(n)
-    powers = [CyclotomicElement.one(n)]
-    for _ in range(2 * deg - 2):
-        powers.append(cyc_mul(powers[-1], z))
-    traces = [cyc_trace(p) for p in powers]
-    gram = IntMatrix.from_rows([[traces[i + j] for j in range(deg)] for i in range(deg)])
-    if not gram.is_symmetric():
-        raise AssertionError("trace form Gram must be symmetric")
-    return gram
-
-
-def embedding_trace_oracle(a: CyclotomicElement, precision: int | None = None) -> float:
-    """Sum of a over all primitive n-th roots of unity, in high-precision floats.
-
-    Test oracle only: cross-checks cyc_trace numerically. Digits come from the
-    argument, else the FORMS4D_PRECISION environment variable, else 30.
-    """
-    if precision is None:
-        precision = int(os.environ.get(PRECISION_ENV_VAR, str(DEFAULT_ORACLE_DIGITS)))
-    n = a.n
-    coeffs_high_first = list(reversed(a.coeffs))
-    with mpmath.workdps(precision):
-        total = mpmath.mpc(0)
-        for k in range(1, n + 1):
-            if gcd(k, n) == 1:
-                omega = mpmath.expjpi(mpmath.mpf(2 * k) / n)
-                total += mpmath.polyval(coeffs_high_first, omega)
-        return float(mpmath.re(total))
+    traces = [ramanujan_sum(n, k) for k in range(2 * deg - 1)]
+    return IntMatrix.from_rows([traces[i : i + deg] for i in range(deg)])

@@ -1,23 +1,24 @@
 """Finitely presented groups: abelianization and automorphism-group reports.
 
 Abelianization goes through the relator exponent-sum matrix and its Smith
-normal form. Automorphism groups of finite abelian groups are enumerated by
-brute force (the oracle of record); the product-of-totients formula is a
-separate operation that refuses non-coprime input rather than extrapolate.
+normal form. The automorphism group of H_1 is sized by the Hillar-Rhea
+formula for finite abelian groups; `aut_bruteforce` enumerates automorphisms
+of small groups given as Cayley tables or invariants and is the reference the
+tests hold the formula to.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
-from .cyclotomic import euler_phi
 from .errors import CapExceededError
-# `snf` stays bound here because perfbench/tracing.py wraps fpgroup.snf by name
+# `snf` and `abelian_group` stay bound here because perfbench/tracing.py wraps
+# fpgroup.snf and fpgroup.abelian_group by name
 from .exactla import IntMatrix, snf, snf_diagonal  # noqa: F401
-from .groupring import FiniteGroup, abelian_group
+from .groupring import FiniteGroup, abelian_group, strides  # noqa: F401
+from .nt import abelian_aut_order
 
 AUT_BRUTEFORCE_ORDER_CAP = 200
 _AUT_CANDIDATE_BUDGET = 2_000_000
@@ -115,17 +116,6 @@ class AutReport:
     free_rank_note: str | None = None
 
 
-def _abelian_basis(group: FiniteGroup) -> tuple[list[int], list[int]]:
-    """Generator indices and their orders for an invariants-built group."""
-    invs = group.abelian_invariants
-    assert invs is not None
-    k = len(invs)
-    strides = [1] * k
-    for i in range(k - 2, -1, -1):
-        strides[i] = strides[i + 1] * invs[i + 1]
-    return strides, list(invs)
-
-
 def _greedy_generators(group: FiniteGroup) -> list[int]:
     gens: list[int] = []
     span = {0}
@@ -162,8 +152,8 @@ def aut_bruteforce(group: FiniteGroup) -> AutReport:
     element_orders = [group.element_order(g) for g in range(n)]
 
     if group.abelian_invariants is not None:
-        strides, orders = _abelian_basis(group)
-        gens = strides
+        orders = group.abelian_invariants
+        gens = strides(orders)
         candidate_sets = [
             [x for x in range(n) if orders[i] % element_orders[x] == 0]
             for i in range(len(gens))
@@ -234,87 +224,33 @@ def aut_bruteforce(group: FiniteGroup) -> AutReport:
     return AutReport(torsion_aut_order=len(automorphisms), is_abelian=abelian)
 
 
-def aut_coprime_formula(moduli: Sequence[int]) -> AutReport:
-    """Product-of-totients count for pairwise coprime cyclic factors.
-
-    |Aut| of the direct sum splits over coprime orders, and each cyclic factor
-    contributes its abelian unit group. Non-coprime input is refused: the
-    splitting hypothesis fails there, so no number is produced.
-    """
-    ms = [int(m) for m in moduli]
-    if any(m < 2 for m in ms):
-        raise ValueError("moduli must be >= 2")
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if gcd(ms[i], ms[j]) != 1:
-                raise ValueError(
-                    f"moduli {ms[i]} and {ms[j]} are not coprime; the splitting "
-                    "formula does not apply"
-                )
-    order = 1
-    for m in ms:
-        order *= euler_phi(m)
-    return AutReport(torsion_aut_order=order, is_abelian=True)
-
-
-def _primary_split(m: int) -> list[int]:
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                q *= p
-                m //= p
-            out.append(q)
-        p += 1
-    if m > 1:
-        out.append(m)
-    return out
-
-
 def galois_surrogate(p: GroupPresentation) -> AutReport:
     """Automorphism report of H_1 of a presentation, free and torsion parts.
 
-    Torsion automorphisms come from brute force (or, for cyclic torsion past
-    the brute-force cap, the coprime formula on the prime-power split). The
-    free part is annotated: rank 1 contributes the order-2 sign flip, rank 2
-    and up is flagged infinite nonabelian. The two parts are reported as a
-    direct-sum decomposition; maps mixing them are not counted.
+    The torsion order |Aut| comes from the Hillar-Rhea formula, and Aut of a
+    finite abelian group is abelian exactly when the group is cyclic. Torsion
+    whose order cannot be factored within the trial-division cap raises
+    CapExceededError. The free part is annotated: rank 1 contributes the
+    order-2 sign flip, rank 2 and up is flagged infinite nonabelian. The two
+    parts are reported as a direct-sum decomposition; maps mixing them are not
+    counted.
     """
     h1 = abelianize(p)
-    torsion_order = h1.torsion_order
-    if torsion_order == 1:
-        torsion_report = AutReport(torsion_aut_order=1, is_abelian=True)
-    elif torsion_order <= AUT_BRUTEFORCE_ORDER_CAP:
-        torsion_report = aut_bruteforce(abelian_group(h1.torsion))
-    elif len(h1.torsion) == 1:
-        torsion_report = aut_coprime_formula(_primary_split(h1.torsion[0]))
-    else:
-        raise CapExceededError(
-            f"torsion order {torsion_order} is over the brute-force cap "
-            f"{AUT_BRUTEFORCE_ORDER_CAP} and the torsion is not cyclic"
-        )
-
     k = h1.free_rank
-    if k == 0:
-        note = None
-        abelian = torsion_report.is_abelian
-    elif k == 1:
+    note = None
+    if k == 1:
         note = (
             "free rank 1: the infinite cyclic factor contributes Aut(Z) = {+-1} "
             "= Z/2 (order 2, abelian); combined with the torsion factor as a "
             "direct sum, maps mixing the factors not counted"
         )
-        abelian = torsion_report.is_abelian
-    else:
+    elif k > 1:
         note = (
             f"free rank {k}: the free factor contributes GL_{k}(Z) -- infinite, "
             "nonabelian; direct-sum decomposition only, mixing maps not counted"
         )
-        abelian = False
     return AutReport(
-        torsion_aut_order=torsion_report.torsion_aut_order,
-        is_abelian=abelian,
+        torsion_aut_order=abelian_aut_order(h1.torsion),
+        is_abelian=k <= 1 and len(h1.torsion) <= 1,
         free_rank_note=note,
     )

@@ -1,6 +1,7 @@
 """Group rings of finite groups and their regular-representation trace form.
 
-Finite groups are Cayley tables with element 0 the identity. The integral
+Finite groups are Cayley tables with element 0 the identity; a direct sum of
+cyclic groups labels its elements in mixed radix (`strides`). The integral
 group ring Z[G] carries the non-degenerate pairing Q(x, y) = trace of left
 multiplication by x*y, whose Gram matrix is |G| at the (g, h) with gh = e and
 0 elsewhere; Q satisfies Q(xy, z) = Q(x, yz).
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Sequence
 
-from .cyclotomic import euler_phi
 from .errors import CapExceededError
 from .exactla import IntMatrix
+from .nt import euler_phi, factorize, is_prime
 from .quadform import BilinearForm
 
 GROUP_ORDER_CAP = 512
@@ -102,6 +103,18 @@ class FiniteGroup:
         return out
 
 
+def strides(invariants: Sequence[int]) -> list[int]:
+    """Place values of the mixed-radix labels of abelian_group(invariants).
+
+    The element sum x_i e_i has label sum x_i * strides[i], so strides[i] is
+    the label of the i-th generator e_i.
+    """
+    out = [1] * len(invariants)
+    for i in range(len(invariants) - 2, -1, -1):
+        out[i] = out[i + 1] * invariants[i + 1]
+    return out
+
+
 def abelian_group(invariants: Sequence[int]) -> FiniteGroup:
     """Direct sum of cyclic groups Z/m_1 + ... + Z/m_k (empty list: trivial group)."""
     invs = tuple(int(m) for m in invariants)
@@ -113,25 +126,21 @@ def abelian_group(invariants: Sequence[int]) -> FiniteGroup:
     if order > GROUP_ORDER_CAP:
         raise CapExceededError(f"group order {order} exceeds the cap {GROUP_ORDER_CAP}")
 
-    k = len(invs)
-    strides = [1] * k
-    for i in range(k - 2, -1, -1):
-        strides[i] = strides[i + 1] * invs[i + 1]
-
+    places = strides(invs)
     digits = []
     for idx in range(order):
         rem = idx
         row = []
-        for i in range(k):
-            row.append(rem // strides[i])
-            rem %= strides[i]
+        for s in places:
+            row.append(rem // s)
+            rem %= s
         digits.append(row)
 
     table = []
     for a in digits:
         row = []
         for b in digits:
-            row.append(sum(((x + y) % m) * s for x, y, m, s in zip(a, b, invs, strides)))
+            row.append(sum(((x + y) % m) * s for x, y, m, s in zip(a, b, invs, places)))
         table.append(tuple(row))
     return FiniteGroup(order, tuple(table), abelian_invariants=invs)
 
@@ -238,16 +247,6 @@ def frobenius_form(group: FiniteGroup) -> BilinearForm:
     return BilinearForm(IntMatrix.from_rows(rows))
 
 
-def is_symmetric_form(form_or_gram) -> bool:
-    """Symmetry check, Gram == Gram^T.
-
-    Accepts a BilinearForm or a raw matrix; form construction already enforces
-    symmetry, so the matrix variant is the one that can say False.
-    """
-    gram = form_or_gram.gram if isinstance(form_or_gram, BilinearForm) else form_or_gram
-    return gram.is_symmetric()
-
-
 @dataclass(frozen=True)
 class WedderburnDecomposition:
     """Census of cyclotomic summands of the rational group algebra.
@@ -273,23 +272,6 @@ class WedderburnDecomposition:
             raise ValueError("a nontrivial group must contribute exactly one rational summand")
 
 
-def _primary_factors(m: int) -> list[int]:
-    """Prime-power factors of m, e.g. 12 -> [4, 3]."""
-    out = []
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            q = 1
-            while m % p == 0:
-                q *= p
-                m //= p
-            out.append(q)
-        p += 1
-    if m > 1:
-        out.append(m)
-    return sorted(out)
-
-
 def wedderburn_decompose(group: FiniteGroup) -> WedderburnDecomposition:
     """Element-order census of an abelian group's rational group algebra."""
     if not group.is_abelian():
@@ -308,7 +290,7 @@ def wedderburn_decompose(group: FiniteGroup) -> WedderburnDecomposition:
     if group.abelian_invariants is not None:
         factor_counter: Counter[int] = Counter()
         for m in group.abelian_invariants:
-            factor_counter.update(_primary_factors(m))
+            factor_counter.update(p**e for p, e in factorize(m))
         primary = tuple(sorted(factor_counter.items()))
         if group.order > 1:
             notes.append(
@@ -321,7 +303,7 @@ def wedderburn_decompose(group: FiniteGroup) -> WedderburnDecomposition:
                     f"census summands for d in {extra} come from characters of composite "
                     "order and are also absent from the per-factor list"
                 )
-            nonprime = sorted(q for q in factor_counter if not _is_prime(q))
+            nonprime = sorted(q for q in factor_counter if not is_prime(q))
             if nonprime:
                 notes.append(
                     f"cyclic factor orders {nonprime} are not prime, outside the "
@@ -342,32 +324,3 @@ def wedderburn_decompose(group: FiniteGroup) -> WedderburnDecomposition:
         primary_fields=primary,
         notes=tuple(notes),
     )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 1
-    return True
-
-
-def extension_bookkeeping(total_order: int, gamma: FiniteGroup) -> dict:
-    """Quotient bookkeeping for a finite group with designated normal subgroup.
-
-    Reports |G| / |Gamma| next to the rank of Z[Gamma] so the two dimension
-    counts can be compared; nothing deeper is attempted.
-    """
-    if total_order < 1 or total_order % gamma.order:
-        raise ValueError("the subgroup order must divide the total order")
-    quotient = total_order // gamma.order
-    return {
-        "total_order": total_order,
-        "subgroup_order": gamma.order,
-        "quotient_order": quotient,
-        "group_ring_rank": gamma.order,
-        "quotient_matches_rank": quotient == gamma.order,
-    }

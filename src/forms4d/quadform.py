@@ -17,6 +17,7 @@ from typing import Sequence, Union
 from . import exactla
 from .errors import CapExceededError
 from .exactla import IntMatrix, RatMatrix
+from .nt import is_prime
 
 SHORT_VECTOR_RANK_CAP = 16
 SHORT_VECTOR_BOUND_CAP = 4
@@ -146,21 +147,6 @@ def from_witt(e: WittExpression) -> BilinearForm:
 
 
 # --- Trace-form models ---------------------------------------------------------
-
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
 
 def odd_prime_trace_form(p: int) -> BilinearForm:
     """Diagonal model of the trace form on the p-member power list for odd prime p.
@@ -413,9 +399,10 @@ def short_vectors(f: BilinearForm, bound: int) -> list[tuple[int, ...]]:
 def is_diagonalizable_over_Z(f: BilinearForm) -> bool:
     """Whether a positive definite unimodular form has an orthonormal Z-basis.
 
-    Enumerate the norm-1 vectors and search for a pairwise-orthogonal set of
-    full rank. For unimodular positive definite forms at this scale that is
-    equivalent to the form being the identity form.
+    Count the +-pairs of norm-1 vectors. In an integral positive definite
+    lattice two norm-1 vectors other than +-each other are orthogonal
+    (Cauchy-Schwarz plus integrality), and each one splits off a Z summand, so
+    the form is the identity form exactly when there are rank-many pairs.
     """
     inv = invariants(f)
     if inv.definiteness != "positive":
@@ -426,18 +413,4 @@ def is_diagonalizable_over_Z(f: BilinearForm) -> bool:
         raise CapExceededError(
             f"diagonalizability test capped at rank {SHORT_VECTOR_RANK_CAP}, got {f.rank}"
         )
-    norm_one = short_vectors(f, 1)
-    if len(norm_one) < f.rank:
-        return False
-
-    def extend(chosen: list[tuple[int, ...]], start: int) -> bool:
-        if len(chosen) == f.rank:
-            return True
-        for idx in range(start, len(norm_one)):
-            v = norm_one[idx]
-            if all(bilinear_value(f.gram, v, w) == 0 for w in chosen):
-                if extend(chosen + [v], idx + 1):
-                    return True
-        return False
-
-    return extend([], 0)
+    return len(short_vectors(f, 1)) == f.rank

@@ -2,17 +2,26 @@
 
 The determinant oracle is plain cofactor expansion and the minor-gcd oracle
 enumerates minors directly, so neither shares any code path with the library
-routines they check.
+routines they check. The cyclotomic trace oracles are the regular
+representation (power by power) and a high-precision sum over the complex
+embeddings; the Donaldson oracle searches for an orthonormal basis.
 """
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations
 from math import gcd
 
+import mpmath
+
+from forms4d.cyclotomic import CyclotomicElement, cyc_mul
 from forms4d.exactla import IntMatrix
-from forms4d.quadform import BilinearForm
+from forms4d.quadform import BilinearForm, bilinear_value, short_vectors
+
+DEFAULT_ORACLE_DIGITS = 30
+PRECISION_ENV_VAR = "FORMS4D_PRECISION"
 
 
 def det_cofactor(rows: list[list[int]]) -> int:
@@ -73,3 +82,81 @@ def random_unimodular(rng: random.Random, n: int, ops: int = 10, bound: int = 3)
 
 def conjugated(form: BilinearForm, p: IntMatrix) -> BilinearForm:
     return BilinearForm(p.transpose() @ form.gram @ p)
+
+
+def unfactorable_presentation() -> dict:
+    """24 generators, 24 relators with exponents drawn from -9..9, row by row.
+
+    H_1 is cyclic of order 13238079721605081515992758642, which leaves the
+    cofactor 23919106731586021 > 2^40 after trial division up to 2^20.
+    """
+    rng = random.Random(3)
+    rows = [[rng.randint(-9, 9) for _ in range(24)] for _ in range(24)]
+    relators = [
+        [(j + 1) * (1 if e > 0 else -1) for j, e in enumerate(row) for _ in range(abs(e))]
+        for row in rows
+    ]
+    return {"generators": 24, "relators": relators}
+
+
+def regular_trace(a: CyclotomicElement) -> int:
+    """Trace of multiplication-by-a on the power basis, column by column.
+
+    Column j of the multiplication matrix is a * zeta^j; only its j-th
+    coordinate contributes to the trace, so the matrix is never stored.
+    """
+    z = CyclotomicElement.zeta(a.n)
+    cur = a
+    total = 0
+    deg = len(a.coeffs)
+    for j in range(deg):
+        total += cur.coeffs[j]
+        if j + 1 < deg:
+            cur = cyc_mul(cur, z)
+    return total
+
+
+def regular_trace_gram(n: int) -> list[list[int]]:
+    """tr(zeta^(i+j)) on the power basis, every power multiplied out."""
+    deg = len(CyclotomicElement.one(n).coeffs)
+    powers = [CyclotomicElement.one(n)]
+    for _ in range(2 * deg - 2):
+        powers.append(cyc_mul(powers[-1], CyclotomicElement.zeta(n)))
+    traces = [regular_trace(p) for p in powers]
+    return [[traces[i + j] for j in range(deg)] for i in range(deg)]
+
+
+def embedding_trace_oracle(a: CyclotomicElement, precision: int | None = None) -> float:
+    """Sum of a over all primitive n-th roots of unity, in high-precision floats.
+
+    Digits come from the argument, else the FORMS4D_PRECISION environment
+    variable, else 30.
+    """
+    if precision is None:
+        precision = int(os.environ.get(PRECISION_ENV_VAR, str(DEFAULT_ORACLE_DIGITS)))
+    n = a.n
+    coeffs_high_first = list(reversed(a.coeffs))
+    with mpmath.workdps(precision):
+        total = mpmath.mpc(0)
+        for k in range(1, n + 1):
+            if gcd(k, n) == 1:
+                omega = mpmath.expjpi(mpmath.mpf(2 * k) / n)
+                total += mpmath.polyval(coeffs_high_first, omega)
+        return float(mpmath.re(total))
+
+
+def diagonalizable_by_search(f: BilinearForm) -> bool:
+    """Backtracking search for rank-many pairwise orthogonal norm-1 vectors."""
+    norm_one = short_vectors(f, 1)
+
+    def extend(chosen: list[tuple[int, ...]], start: int) -> bool:
+        if len(chosen) == f.rank:
+            return True
+        for idx in range(start, len(norm_one)):
+            v = norm_one[idx]
+            if all(bilinear_value(f.gram, v, w) == 0 for w in chosen):
+                if extend(chosen + [v], idx + 1):
+                    return True
+        return False
+
+    return extend([], 0)

@@ -13,7 +13,6 @@ from forms4d.cyclotomic import (
     IntPolynomial,
     cyc_trace,
     cyclotomic_polynomial,
-    embedding_trace_oracle,
     euler_phi,
 )
 from forms4d.exactla import IntMatrix, RatMatrix, determinant, signature, snf
@@ -21,7 +20,6 @@ from forms4d.fpgroup import (
     GroupPresentation,
     abelianize,
     aut_bruteforce,
-    aut_coprime_formula,
     galois_surrogate,
 )
 from forms4d.groupring import (
@@ -45,9 +43,16 @@ from forms4d.quadform import (
     two_power_signature_values,
     two_power_trace_form,
 )
+from forms4d.nt import abelian_aut_order
 from forms4d.smooth4 import analyze_intersection_form, analyze_trace_form
 
-from support import conjugated, minor_gcd, random_int_matrix, random_unimodular
+from support import (
+    conjugated,
+    embedding_trace_oracle,
+    minor_gcd,
+    random_int_matrix,
+    random_unimodular,
+)
 
 
 def _run(number, description, budget_seconds, body):
@@ -236,13 +241,13 @@ def test_criterion_7_aut_validation():
                 expected *= euler_phi(m)
             assert brute.torsion_aut_order == expected, moduli
             assert brute.is_abelian, moduli
-            assert aut_coprime_formula(moduli).torsion_aut_order == expected
+            assert abelian_aut_order(moduli) == expected
 
         klein_four = aut_bruteforce(abelian_group([2, 2]))
-        assert klein_four.torsion_aut_order == 6
+        assert klein_four.torsion_aut_order == 6 == abelian_aut_order([2, 2])
         assert not klein_four.is_abelian
 
-    _run(7, "Aut validation: coprime lists (product <= 200) vs formula; Z/2+Z/2 limit", None, body)
+    _run(7, "Aut validation: coprime lists (product <= 200) vs formula; Z/2+Z/2 nonabelian", None, body)
 
 
 def test_criterion_8_abelianization_goldens():

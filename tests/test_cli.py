@@ -1,8 +1,12 @@
 import json
+import subprocess
 import sys
+import time
 
 from forms4d.cli import main
 from forms4d.groupring import symmetric_group_s3
+
+from support import unfactorable_presentation
 
 
 def run_cli(capsys, *argv):
@@ -110,13 +114,33 @@ def test_abelianize_missing_generators_key(tmp_path, capsys):
     assert "generators" in doc["diagnostics"][0]
 
 
-def test_abelianize_galois_cap(tmp_path, capsys):
+def test_abelianize_galois_noncyclic_past_bruteforce_order(tmp_path, capsys):
     path = write_json(
         tmp_path, "p.json", {"generators": 2, "relators": [[1] * 256, [2] * 256]}
     )
     code, doc, _ = run_cli(capsys, "abelianize", path, "--galois")
-    assert code == 2
-    assert "cap" in doc["diagnostics"][0]
+    assert code == 0
+    assert doc["payload"]["torsion"] == [256, 256]
+    galois = doc["payload"]["galois"]
+    assert galois["torsion_aut_order"] == 1_610_612_736  # |GL_2(Z/256)|
+    assert galois["is_abelian"] is False
+
+
+def test_abelianize_galois_cap(tmp_path):
+    # H_1 is cyclic of 29-digit order with a cofactor past 2^40; run in a
+    # subprocess so that unbounded factoring fails the test instead of hanging it
+    path = write_json(tmp_path, "p.json", unfactorable_presentation())
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "forms4d.cli", "abelianize", path, "--galois"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    diagnostic = json.loads(proc.stdout)["diagnostics"][0]
+    assert "23919106731586021 > 2^40" in diagnostic and "cap 2^20" in diagnostic
 
 
 def test_abelianize_shape_cap(tmp_path, capsys):
@@ -156,6 +180,24 @@ def test_trace_form_conductor_cap(capsys):
     code, doc, _ = run_cli(capsys, "trace-form", "--conductor", "100")
     assert code == 2
     assert "64" in doc["diagnostics"][0]
+
+
+def test_trace_form_prime_and_two_power_caps(capsys):
+    code, doc, _ = run_cli(capsys, "trace-form", "--prime", "65")
+    assert code == 2
+    assert "prime 65 exceeds the cap 64" in doc["diagnostics"][0]
+    code, doc, _ = run_cli(capsys, "trace-form", "--prime", "10000000000000000000000")
+    assert code == 2
+    code, doc, _ = run_cli(capsys, "trace-form", "--prime", "64")
+    assert code == 1  # at the cap, but not prime
+    code, doc, _ = run_cli(capsys, "trace-form", "--prime", "61")
+    assert code == 0 and doc["payload"]["invariants"]["rank"] == 61
+
+    code, doc, _ = run_cli(capsys, "trace-form", "--two-power", "8")
+    assert code == 2
+    assert "two-power exponent 8 exceeds the cap 7" in doc["diagnostics"][0]
+    code, doc, _ = run_cli(capsys, "trace-form", "--two-power", "7")
+    assert code == 0 and doc["payload"]["invariants"]["rank"] == 256
 
 
 def test_trace_form_bad_parameters(capsys):
@@ -272,6 +314,35 @@ def test_analyze_form_witt_expressions(capsys):
 
     code, doc, _ = run_cli(capsys, "analyze-form", "--witt", "nonsense")
     assert code == 1
+
+
+def test_analyze_form_witt_rank_cap(capsys):
+    for text in ("2^6<1>", "64<1>", "32xH", "60<-1> + 2^2<1>"):
+        code, doc, _ = run_cli(capsys, "analyze-form", "--witt", text)
+        assert code == 0, text
+        assert doc["payload"]["rank"] == 64
+    for text in ("65<1>", "32xH + <1>", "63<1> + 2^1<1>"):
+        code, doc, _ = run_cli(capsys, "analyze-form", "--witt", text)
+        assert code == 2, text
+        assert "Witt expression rank 65 exceeds the cap 64" in doc["diagnostics"][0]
+    start = time.perf_counter()
+    for n in (7, 10**6):
+        code, doc, _ = run_cli(capsys, "analyze-form", "--witt", f"<1> + 2^{n}<1>")
+        assert code == 2
+        assert f"2^{n}<1>" in doc["diagnostics"][0] and "cap 64" in doc["diagnostics"][0]
+    assert time.perf_counter() - start < 1
+
+
+def test_runs_without_mpmath():
+    script = (
+        "import sys; sys.modules['mpmath'] = None\n"
+        "import forms4d\n"
+        "from forms4d import cli\n"
+        "sys.exit(cli.main(['trace-form', '--conductor', '12']))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["status"] == "ok"
 
 
 def test_usage_errors_exit_one(capsys):

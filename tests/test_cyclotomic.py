@@ -8,11 +8,12 @@ from forms4d.cyclotomic import (
     cyc_mul,
     cyc_trace,
     cyclotomic_polynomial,
-    embedding_trace_oracle,
     euler_phi,
     trace_form_gram,
 )
 from forms4d.exactla import determinant
+
+from support import embedding_trace_oracle, regular_trace, regular_trace_gram
 
 CONDUCTORS = (3, 4, 5, 7, 8, 9, 12, 15, 16)
 
@@ -91,6 +92,19 @@ def test_trace_is_symmetric_in_products():
         for _ in range(100):
             a, b = random_element(rng, n), random_element(rng, n)
             assert cyc_trace(cyc_mul(a, b)) == cyc_trace(cyc_mul(b, a))
+
+
+def test_trace_matches_regular_representation():
+    rng = random.Random(7)
+    for n in CONDUCTORS:
+        for _ in range(20):
+            a = random_element(rng, n)
+            assert cyc_trace(a) == regular_trace(a)
+
+
+def test_trace_form_gram_matches_regular_representation():
+    for n in range(1, 65):
+        assert trace_form_gram(n).to_rows() == regular_trace_gram(n), n
 
 
 def test_trace_matches_embedding_oracle():

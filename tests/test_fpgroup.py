@@ -1,18 +1,26 @@
 import random
+import time
 
 import pytest
 
-from forms4d.cyclotomic import euler_phi
 from forms4d.errors import CapExceededError
 from forms4d.fpgroup import (
     AbelianizationResult,
     GroupPresentation,
     abelianize,
     aut_bruteforce,
-    aut_coprime_formula,
     galois_surrogate,
 )
 from forms4d.groupring import abelian_group, symmetric_group_s3
+from forms4d.nt import abelian_aut_order, euler_phi
+
+from support import unfactorable_presentation
+
+# non-cyclic groups whose brute-force enumeration fits the candidate budget
+NON_CYCLIC = (
+    [2, 2], [2, 4], [2, 2, 2], [3, 3], [2, 6], [4, 4], [2, 8], [2, 2, 4], [3, 9],
+    [5, 5], [2, 2, 2, 2], [6, 6], [3, 3, 3], [4, 8], [2, 12], [2, 4, 4],
+)
 
 TREFOIL = GroupPresentation.from_lists(2, [[1, 1, -2, -2, -2]])
 KLEIN_BOTTLE = GroupPresentation.from_lists(2, [[1, 2, 1, -2]])
@@ -124,21 +132,31 @@ def test_aut_bruteforce_cyclic_is_abelian():
 
 
 def test_aut_coprime_formula():
-    assert aut_coprime_formula([3, 5]).torsion_aut_order == 8
-    assert aut_coprime_formula([7]).torsion_aut_order == 6
-    assert aut_coprime_formula([3, 5]).is_abelian
-    with pytest.raises(ValueError):
-        aut_coprime_formula([2, 2])
-    with pytest.raises(ValueError):
-        aut_coprime_formula([1, 3])
+    # coprime cyclic factors: Aut splits into abelian unit groups
+    assert abelian_aut_order([3, 5]) == 8
+    assert abelian_aut_order([7]) == 6
+    assert abelian_aut_order([4, 9, 5]) == 2 * 6 * 4
+    assert abelian_aut_order([]) == 1
+    # Klein four: GL_2(F_2) is S3, not the totient product 1
+    assert abelian_aut_order([2, 2]) == 6
 
 
 def test_formula_matches_bruteforce_on_coprime_lists():
     for moduli in ([2], [3], [2, 3], [4, 9], [5, 8], [3, 5], [2, 9, 5]):
         brute = aut_bruteforce(abelian_group(moduli))
-        formula = aut_coprime_formula(moduli)
-        assert brute.torsion_aut_order == formula.torsion_aut_order, moduli
+        assert brute.torsion_aut_order == abelian_aut_order(moduli), moduli
         assert brute.is_abelian, moduli
+
+
+def test_formula_matches_bruteforce_on_non_cyclic_groups():
+    start = time.perf_counter()
+    for moduli in NON_CYCLIC:
+        brute = aut_bruteforce(abelian_group(moduli))
+        assert brute.torsion_aut_order == abelian_aut_order(moduli), moduli
+        assert not brute.is_abelian, moduli
+    assert abelian_aut_order([2, 2, 2, 2]) == 20160  # |GL_4(F_2)|
+    assert abelian_aut_order([3, 3, 3]) == 11232  # |GL_3(F_3)|
+    assert time.perf_counter() - start < 5
 
 
 def test_galois_surrogate_finite_cases():
@@ -178,8 +196,32 @@ def test_galois_surrogate_large_cyclic_torsion_uses_formula():
     assert big.is_abelian
 
 
-def test_galois_surrogate_large_noncyclic_torsion_refuses():
-    # Z/256 + Z/256: torsion order 65536, not cyclic
+def test_galois_surrogate_large_noncyclic_torsion_uses_formula():
+    # Z/256 + Z/256: torsion order 65536, Aut = GL_2(Z/256)
     pres = GroupPresentation.from_lists(2, [[1] * 256, [2] * 256])
-    with pytest.raises(CapExceededError):
+    report = galois_surrogate(pres)
+    assert report.torsion_aut_order == 2 ** 28 * 6 == 1_610_612_736
+    assert not report.is_abelian
+    # (Z/6)^3 splits into GL_3(F_2) x GL_3(F_3)
+    cube = galois_surrogate(GroupPresentation.from_lists(3, [[1] * 6, [2] * 6, [3] * 6]))
+    assert cube.torsion_aut_order == 168 * 11232
+    assert not cube.is_abelian
+
+
+def test_galois_surrogate_small_torsion_matches_bruteforce():
+    for moduli in ([2, 2], [2, 4], [3, 3], [2, 6], [2, 2, 2], [5], [12], [3, 5], [2]):
+        words = [[i + 1] * m for i, m in enumerate(moduli)]
+        report = galois_surrogate(GroupPresentation.from_lists(len(moduli), words))
+        brute = aut_bruteforce(abelian_group(moduli))
+        assert (report.torsion_aut_order, report.is_abelian) == (
+            brute.torsion_aut_order, brute.is_abelian), moduli
+
+
+def test_galois_surrogate_unfactorable_torsion_hits_the_cap():
+    doc = unfactorable_presentation()
+    pres = GroupPresentation.from_lists(doc["generators"], doc["relators"])
+    assert abelianize(pres).torsion == (13238079721605081515992758642,)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="23919106731586021 > 2\\^40"):
         galois_surrogate(pres)
+    assert time.perf_counter() - start < 5

@@ -9,10 +9,8 @@ from forms4d.groupring import (
     GroupRingElement,
     abelian_group,
     conjugate,
-    extension_bookkeeping,
     frobenius_form,
     gr_mul,
-    is_symmetric_form,
     regular_representation,
     symmetric_group_s3,
     wedderburn_decompose,
@@ -211,10 +209,10 @@ def test_conjugation_preserves_frobenius_form():
 
 
 def test_symmetry_checks():
-    assert is_symmetric_form(frobenius_form(abelian_group([6])))
+    assert frobenius_form(abelian_group([6])).gram.is_symmetric()
     # symmetric even for the nonabelian group: gh = e iff hg = e
-    assert is_symmetric_form(frobenius_form(symmetric_group_s3()))
-    assert not is_symmetric_form(IntMatrix.from_rows([[0, 1], [-1, 0]]))
+    assert frobenius_form(symmetric_group_s3()).gram.is_symmetric()
+    assert not IntMatrix.from_rows([[0, 1], [-1, 0]]).is_symmetric()
 
 
 def test_wedderburn_census_small():
@@ -254,12 +252,3 @@ def test_wedderburn_rejects_nonabelian():
     with pytest.raises(ValueError):
         wedderburn_decompose(symmetric_group_s3())
 
-
-def test_extension_bookkeeping():
-    s3 = symmetric_group_s3()
-    report = extension_bookkeeping(12, s3)
-    assert report["quotient_order"] == 2
-    assert report["group_ring_rank"] == 6
-    assert not report["quotient_matches_rank"]
-    with pytest.raises(ValueError):
-        extension_bookkeeping(7, s3)

@@ -26,7 +26,7 @@ from forms4d.quadform import (
     two_power_trace_form,
 )
 
-from support import conjugated, random_unimodular
+from support import conjugated, diagonalizable_by_search, random_unimodular
 
 HYPERBOLIC = BilinearForm(IntMatrix.from_rows([[0, 1], [1, 0]]))
 
@@ -227,6 +227,18 @@ def test_diagonalizable_is_basis_change_invariant():
         for _ in range(20):
             p = random_unimodular(rng, base.rank)
             assert is_diagonalizable_over_Z(conjugated(base, p)) is expected
+
+
+def test_diagonalizable_count_matches_search():
+    rng = random.Random(19)
+    bases = [BilinearForm(IntMatrix.identity(k)) for k in (1, 2, 5, 9, 12)]
+    bases += [e8_form()] + [
+        direct_sum(e8_form(), BilinearForm(IntMatrix.identity(k))) for k in (1, 3)
+    ]
+    for base in bases:
+        for _ in range(4):
+            f = conjugated(base, random_unimodular(rng, base.rank))
+            assert is_diagonalizable_over_Z(f) is diagonalizable_by_search(f)
 
 
 def test_constructors_always_yield_symmetric_grams():
