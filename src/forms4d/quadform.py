@@ -2,7 +2,9 @@
 
 Witt-notation constructors, the diagonal trace-form models for odd-prime and
 two-power conductors, polarization, form invariants, bounded short-vector
-enumeration and diagonalizability over Z.
+enumeration and diagonalizability over Z. Invariants and enumeration both read
+one fraction-free `exactla.symmetric_elimination`; only polarization and the
+enumeration's remaining bound are rational.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, isqrt
+from math import isqrt
 from typing import Sequence, Union
 
 from . import exactla
@@ -21,6 +23,8 @@ from .nt import is_prime
 
 SHORT_VECTOR_RANK_CAP = 16
 SHORT_VECTOR_BOUND_CAP = 4
+# coordinate values one short-vector enumeration may try; the deepest known input needs ~7,400
+SHORT_VECTOR_NODE_CAP = 2**17
 
 
 @dataclass(frozen=True)
@@ -286,11 +290,10 @@ class FormInvariants:
 
 
 def invariants(f: BilinearForm) -> FormInvariants:
-    """All standard invariants of a form, computed exactly."""
-    sig = exactla.signature(f.gram)
-    det = exactla.determinant(f.gram)
+    """All standard invariants of a form, from one `symmetric_elimination`."""
+    elim = exactla.symmetric_elimination(f.gram)
     even = all(f.gram.at(i, i) % 2 == 0 for i in range(f.rank))
-    pos, neg, zero = sig
+    pos, neg, zero = elim.inertia
     if zero > 0:
         definiteness = "degenerate"
     elif neg == 0:
@@ -301,10 +304,10 @@ def invariants(f: BilinearForm) -> FormInvariants:
         definiteness = "indefinite"
     return FormInvariants(
         rank=f.rank,
-        signature=sig,
-        determinant=det,
+        signature=elim.inertia,
+        determinant=elim.determinant,
         parity="even" if even else "odd",
-        unimodular=abs(det) == 1,
+        unimodular=abs(elim.determinant) == 1,
         definiteness=definiteness,
     )
 
@@ -331,34 +334,18 @@ def e8_form() -> BilinearForm:
 
 # --- Short vectors and diagonalizability ----------------------------------------
 
-def _squared_completion(gram: IntMatrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Rewrite q(x) as sum_i d_i (x_i + sum_{j>i} u_ij x_j)^2 over the rationals.
-
-    Fails (ValueError) if the form is not positive definite: exactly then some
-    pivot d_i fails to be positive.
-    """
-    n = gram.rows
-    q = [[Fraction(x) for x in row] for row in gram.to_rows()]
-    for i in range(n):
-        if q[i][i] <= 0:
-            raise ValueError("form is not positive definite")
-        for j in range(i + 1, n):
-            q[j][i] = q[i][j]
-            q[i][j] = q[i][j] / q[i][i]
-        for k in range(i + 1, n):
-            for l in range(k, n):
-                q[k][l] -= q[k][i] * q[i][l]
-    d = [q[i][i] for i in range(n)]
-    u = [[q[i][j] if j > i else Fraction(0) for j in range(n)] for i in range(n)]
-    return d, u
-
-
 def short_vectors(f: BilinearForm, bound: int) -> list[tuple[int, ...]]:
     """All nonzero v with v^T G v <= bound, one of each +-pair.
 
-    Exact Fincke-Pohst enumeration on the rational squared completion.
-    Representatives have a positive first nonzero coordinate and the output
-    is sorted lexicographically.
+    Exact Fincke-Pohst enumeration (Math. Comp. 44, 1985) on the integer pivot
+    rows b of `exactla.symmetric_elimination`: q(x) = sum_i y_i^2 / (D_i D_{i+1})
+    with y_i = sum_{j>=i} b_ij x_j and leading minors D_0 = 1, D_1, ..., D_n.
+    Coordinates are fixed from the last one down; each level's range of y_i
+    comes from one integer square root, and only the remaining bound is a
+    fraction. More than SHORT_VECTOR_NODE_CAP coordinate values tried raises
+    CapExceededError: a badly skewed basis can need a number of values that
+    grows with its entries, even at rank 2. Representatives have a positive
+    first nonzero coordinate and the output is sorted lexicographically.
     """
     if f.rank > SHORT_VECTOR_RANK_CAP:
         raise CapExceededError(
@@ -369,19 +356,27 @@ def short_vectors(f: BilinearForm, bound: int) -> list[tuple[int, ...]]:
             f"short-vector bound must be in 1..{SHORT_VECTOR_BOUND_CAP}, got {bound}"
         )
     n = f.rank
-    d, u = _squared_completion(f.gram)  # raises if not positive definite
+    elim = exactla.symmetric_elimination(f.gram)
+    if elim.inertia != (n, 0, 0):
+        raise ValueError("form is not positive definite")
+    rows = elim.rows
+    minors = [1] + [r[0] for r in rows]
 
     found: set[tuple[int, ...]] = set()
     x = [0] * n
+    nodes = 0
 
     def rec(i: int, remaining: Fraction) -> None:
-        center = sum((u[i][j] * x[j] for j in range(i + 1, n)), Fraction(0))
-        ratio = remaining / d[i]
-        radius = isqrt(ratio.numerator // ratio.denominator) + 1  # >= sqrt(ratio)
-        for k in range(floor(-center) - radius, ceil(-center) + radius + 1):
-            step = d[i] * (k + center) ** 2
-            if step > remaining:
-                continue
+        nonlocal nodes
+        p, scale = rows[i][0], minors[i] * minors[i + 1]
+        s = sum(b * c for b, c in zip(rows[i][1:], x[i + 1 :]))
+        t = isqrt(remaining.numerator * scale // remaining.denominator)  # |y_i| <= t
+        for k in range(-((t + s) // p), (t - s) // p + 1):
+            nodes += 1
+            if nodes > SHORT_VECTOR_NODE_CAP:
+                raise CapExceededError(
+                    f"short-vector enumeration passed the node cap {SHORT_VECTOR_NODE_CAP}"
+                )
             x[i] = k
             if i == 0:
                 if any(x):
@@ -389,7 +384,8 @@ def short_vectors(f: BilinearForm, bound: int) -> list[tuple[int, ...]]:
                     first = next(c for c in vec if c)
                     found.add(vec if first > 0 else tuple(-c for c in vec))
             else:
-                rec(i - 1, remaining - step)
+                y = p * k + s
+                rec(i - 1, remaining - Fraction(y * y, scale))
         x[i] = 0
 
     rec(n - 1, Fraction(bound))
@@ -409,8 +405,4 @@ def is_diagonalizable_over_Z(f: BilinearForm) -> bool:
         raise ValueError("diagonalizability test requires a positive definite form")
     if not inv.unimodular:
         raise ValueError("diagonalizability test requires a unimodular form")
-    if f.rank > SHORT_VECTOR_RANK_CAP:
-        raise CapExceededError(
-            f"diagonalizability test capped at rank {SHORT_VECTOR_RANK_CAP}, got {f.rank}"
-        )
     return len(short_vectors(f, 1)) == f.rank

@@ -4,15 +4,16 @@ The determinant oracle is plain cofactor expansion and the minor-gcd oracle
 enumerates minors directly, so neither shares any code path with the library
 routines they check. The cyclotomic trace oracles are the regular
 representation (power by power) and a high-precision sum over the complex
-embeddings; the Donaldson oracle searches for an orthonormal basis.
+embeddings; the Donaldson oracle searches for an orthonormal basis, and the
+short-vector oracle scans a box instead of enumerating level by level.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, isqrt
 
 import mpmath
 
@@ -160,3 +161,24 @@ def diagonalizable_by_search(f: BilinearForm) -> bool:
         return False
 
     return extend([], 0)
+
+
+def short_vectors_by_box(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
+    """All nonzero v with v^T G v <= bound, one per +-pair, for small definite G.
+
+    Every such v lies in the box x_i^2 <= bound * (G^-1)_ii
+    = bound * adj(G)_ii / det G; the box is scanned point by point.
+    """
+    rows = gram.to_rows()
+    n = len(rows)
+    det = det_cofactor(rows)
+    radii = []
+    for i in range(n):
+        minor = [[rows[r][c] for c in range(n) if c != i] for r in range(n) if r != i]
+        radii.append(isqrt(bound * det_cofactor(minor) // det))
+    found = []
+    for v in product(*(range(-r, r + 1) for r in radii)):
+        if any(v) and next(c for c in v if c) > 0:
+            if sum(rows[i][j] * v[i] * v[j] for i in range(n) for j in range(n)) <= bound:
+                found.append(v)
+    return sorted(found)

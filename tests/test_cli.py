@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import tempfile
 import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forms4d.cli import main
 from forms4d.groupring import symmetric_group_s3
@@ -282,6 +289,24 @@ def test_analyze_form_non_unimodular(tmp_path, capsys):
     assert "determinant 4" in doc["diagnostics"][0]
 
 
+def test_analyze_form_node_cap(tmp_path):
+    # I_2 in a badly skewed basis: the enumeration would scan about 2*10^9
+    # values of the last coordinate; run in a subprocess so that a hang fails
+    # the test instead of stalling it
+    n = 10**9
+    path = write_json(tmp_path, "gram.json", {"rows": [[n * n + 1, n], [n, 1]]})
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "forms4d.cli", "analyze-form", path],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 2
+    assert "node cap" in json.loads(proc.stdout)["diagnostics"][0]
+
+
 def test_analyze_form_unknown_fixture(capsys):
     code, doc, _ = run_cli(capsys, "analyze-form", "--fixture", "k3")
     assert code == 1
@@ -372,3 +397,86 @@ def test_group_ring_aut_rejects_nonabelian(tmp_path, capsys):
     code, doc, _ = run_cli(capsys, "group-ring", path, "--aut")
     assert code == 1
     assert "abelian" in doc["diagnostics"][0]
+
+
+SMALL = st.integers(-9, 9)
+
+
+@st.composite
+def symmetric_rows(draw):
+    n = draw(st.integers(1, 5))
+    upper = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    return {"rows": [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]}
+
+
+JSON_DOCS = st.one_of(
+    st.recursive(
+        st.none() | st.booleans() | SMALL | st.text(max_size=4),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(
+            st.sampled_from(["rows", "generators", "relators", "abelian_invariants", "cayley_table"]),
+            inner,
+            max_size=3,
+        ),
+        max_leaves=16,
+    ),
+    st.builds(lambda rows: {"rows": rows}, st.lists(st.lists(SMALL, max_size=5), max_size=5)),
+    symmetric_rows(),
+    st.builds(
+        lambda gens, rels: {"generators": gens, "relators": rels},
+        st.integers(-1, 5),
+        st.lists(st.lists(st.integers(-6, 6), max_size=6), max_size=5),
+    ),
+    st.builds(lambda invs: {"abelian_invariants": invs}, st.lists(st.integers(-1, 8), max_size=2)),
+    st.builds(
+        lambda table: {"cayley_table": table},
+        st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=4),
+    ),
+)
+WITT_TERMS = ["3<1>", "<-1>", "H", "2xH", "2^3<1>", "2^6<1>", "2^7<1>", "3<2>", ""]
+GROUP_RING_FLAGS = ["--frobenius", "--decompose", "--aut"]
+ARGVS = st.one_of(
+    st.tuples(st.just("snf"), st.just("FILE")),
+    st.tuples(st.just("abelianize"), st.just("FILE"), st.sampled_from(["--galois", "FILE"])),
+    st.tuples(
+        st.just("trace-form"),
+        st.sampled_from(["--prime", "--two-power", "--conductor"]),
+        st.integers(-5, 70).map(str),
+    ),
+    st.lists(st.sampled_from(GROUP_RING_FLAGS), max_size=3).map(
+        lambda flags: ("group-ring", "FILE", *flags)
+    ),
+    st.tuples(st.just("analyze-form"), st.just("FILE")),
+    st.tuples(
+        st.just("analyze-form"),
+        st.just("--fixture"),
+        st.sampled_from(["e8", "e8e8", "k3", "In:x", "In:-1"]) | st.integers(0, 70).map("In:{}".format),
+    ),
+    st.tuples(
+        st.just("analyze-form"),
+        st.just("--witt"),
+        st.lists(st.sampled_from(WITT_TERMS), min_size=1, max_size=4).map(" + ".join),
+    ),
+    # anything at all: usage errors, unknown commands, missing files
+    st.lists(
+        st.sampled_from(["snf", "trace-form", "FILE", "missing.json", "--aut", "--prime", "7", "x", ""]),
+        max_size=4,
+    ).map(tuple),
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(ARGVS, JSON_DOCS)
+def test_cli_fuzz_exits_cleanly(tokens, doc):
+    # any argv and input file within the caps ends in exit 0, 1 or 2 with one
+    # JSON document, never an escaped exception
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(doc, handle)
+        argv = [path if t == "FILE" else t for t in tokens]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+    assert code in (0, 1, 2)
+    assert json.loads(out.getvalue())["status"] == ("ok" if code == 0 else "error")

@@ -14,6 +14,7 @@ from forms4d.exactla import (
     signature,
     snf,
     snf_diagonal,
+    symmetric_elimination,
 )
 from forms4d.quadform import e8_form
 
@@ -199,7 +200,8 @@ def test_congruent_diagonalize_random_exact():
         g = IntMatrix.from_rows(sym)
         res = congruent_diagonalize(g)
         assert res.P.transpose() @ RatMatrix.from_int_matrix(g) @ res.P == res.D
-        assert res.P.determinant() != 0
+        scale = math.lcm(*(x.denominator for x in res.P.entries))
+        assert determinant(IntMatrix(n, n, tuple(int(x * scale) for x in res.P.entries))) != 0
         for i in range(n):
             for j in range(n):
                 if i != j:
@@ -232,6 +234,8 @@ def test_signature_fixtures():
 def test_signature_rejects_asymmetric():
     with pytest.raises(ValueError):
         signature(IntMatrix.from_rows([[0, 1], [2, 0]]))
+    with pytest.raises(ValueError):
+        symmetric_elimination(IntMatrix.from_rows([[0, 1], [2, 0]]))
 
 
 def test_signature_and_determinant_basis_invariance():
@@ -249,3 +253,36 @@ def test_signature_and_determinant_basis_invariance():
             h = p.transpose() @ g @ p
             assert signature(h) == sig
             assert determinant(h) == det
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """Symmetric matrices up to 8x8, mostly zeros: zero diagonals, folds, radicals."""
+    n = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-6, 6))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(entry)
+    return IntMatrix.from_rows(rows)
+
+
+@settings(deadline=None, max_examples=300)
+@given(sparse_symmetric())
+def test_symmetric_elimination_matches_oracles(g):
+    elim = symmetric_elimination(g)
+    diag = congruent_diagonalize(g).D.diagonal
+    assert elim.inertia == (
+        sum(1 for d in diag if d > 0),
+        sum(1 for d in diag if d < 0),
+        sum(1 for d in diag if d == 0),
+    )
+    assert elim.determinant == det_cofactor(g.to_rows())
+
+
+@settings(deadline=None)
+@given(sparse_symmetric(), st.randoms(use_true_random=False))
+def test_symmetric_elimination_is_congruence_invariant(g, rng):
+    p = random_unimodular(rng, g.rows)
+    elim, moved = symmetric_elimination(g), symmetric_elimination(p.transpose() @ g @ p)
+    assert (moved.inertia, moved.determinant) == (elim.inertia, elim.determinant)

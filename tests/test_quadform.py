@@ -1,11 +1,15 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forms4d.errors import CapExceededError
 from forms4d.exactla import IntMatrix, RatMatrix
 from forms4d.quadform import (
+    SHORT_VECTOR_NODE_CAP,
     BilinearForm,
     Diag,
     Hyperbolic,
@@ -26,7 +30,12 @@ from forms4d.quadform import (
     two_power_trace_form,
 )
 
-from support import conjugated, diagonalizable_by_search, random_unimodular
+from support import (
+    conjugated,
+    diagonalizable_by_search,
+    random_unimodular,
+    short_vectors_by_box,
+)
 
 HYPERBOLIC = BilinearForm(IntMatrix.from_rows([[0, 1], [1, 0]]))
 
@@ -34,6 +43,26 @@ HYPERBOLIC = BilinearForm(IntMatrix.from_rows([[0, 1], [1, 0]]))
 def test_form_requires_symmetric_gram():
     with pytest.raises(ValueError):
         BilinearForm(IntMatrix.from_rows([[0, 1], [-1, 0]]))
+
+
+def witt_text(term) -> str:
+    if isinstance(term, Diag):
+        return f"{term.count}<{term.sign}>"
+    if isinstance(term, Hyperbolic):
+        return f"{term.count}xH"
+    return f"2^{term.n}<1>"
+
+
+witt_terms = st.one_of(
+    st.builds(Diag, st.integers(1, 99), st.sampled_from([1, -1])),
+    st.builds(Hyperbolic, st.integers(1, 99)),
+    st.builds(Pfister, st.integers(1, 12)),
+)
+
+
+@given(st.lists(witt_terms, min_size=1, max_size=6), st.sampled_from(["+", " + ", "+  "]))
+def test_parse_witt_round_trip(terms, sep):
+    assert parse_witt(sep.join(witt_text(t) for t in terms)).terms == tuple(terms)
 
 
 def test_parse_witt():
@@ -168,6 +197,16 @@ def test_invariants_fixtures():
     assert invariants(BilinearForm(IntMatrix.from_rows([[0]]))).definiteness == "degenerate"
 
 
+def test_invariants_rank_256_diagonal_gram_is_fast():
+    # the trace-form model of conductor 2^8: 191 entries +1, 65 entries -1
+    f = two_power_trace_form(7)
+    start = time.perf_counter()
+    inv = invariants(f)
+    assert time.perf_counter() - start < 0.5
+    assert (inv.rank, inv.signature, inv.determinant, inv.parity, inv.unimodular,
+            inv.definiteness) == (256, (191, 65, 0), -1, "odd", True, "indefinite")
+
+
 def test_short_vectors_identity():
     assert short_vectors(BilinearForm(IntMatrix.identity(2)), 1) == [(0, 1), (1, 0)]
 
@@ -197,6 +236,33 @@ def test_short_vectors_rejections():
         short_vectors(BilinearForm(IntMatrix.identity(17)), 1)
     with pytest.raises(CapExceededError):
         short_vectors(BilinearForm(IntMatrix.identity(2)), 5)
+
+
+@st.composite
+def small_definite_forms(draw):
+    """A^T A + I for a random A of size <= 4, in a basis skewed by a unimodular P."""
+    n = draw(st.integers(1, 4))
+    a = [[draw(st.integers(-2, 2)) for _ in range(n)] for _ in range(n)]
+    gram = [[sum(a[k][i] * a[k][j] for k in range(n)) + (i == j) for j in range(n)] for i in range(n)]
+    p = random_unimodular(draw(st.randoms(use_true_random=False)), n, ops=4, bound=2)
+    return conjugated(BilinearForm(IntMatrix.from_rows(gram)), p)
+
+
+@settings(deadline=None)
+@given(small_definite_forms(), st.integers(1, 4))
+def test_short_vectors_match_box_search(f, bound):
+    assert short_vectors(f, bound) == short_vectors_by_box(f.gram, bound)
+
+
+def test_short_vectors_node_cap():
+    # I_2 in the basis (N, 1), (1, 0): about 2N values of the last coordinate
+    n = 10**9
+    skewed = BilinearForm(IntMatrix.from_rows([[n * n + 1, n], [n, 1]]))
+    with pytest.raises(CapExceededError, match=f"node cap {SHORT_VECTOR_NODE_CAP}$"):
+        short_vectors(skewed, 1)
+    assert short_vectors(BilinearForm(IntMatrix.from_rows([[10**6 + 1, 10**3], [10**3, 1]])), 1) == [
+        (0, 1), (1, -1000)
+    ]
 
 
 def test_diagonalizable_fixtures():

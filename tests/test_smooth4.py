@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forms4d.errors import CapExceededError, NonUnimodularFormError
 from forms4d.exactla import IntMatrix
@@ -94,6 +96,34 @@ def test_reports_are_basis_change_invariant():
         for _ in range(5):
             p = random_unimodular(rng, base.rank)
             assert analyze_intersection_form(conjugated(base, p)) == expected
+
+
+BLOCKS = {
+    "E8": e8_form(),
+    "-E8": e8_form().negated(),
+    "<1>": BilinearForm(IntMatrix.identity(1)),
+    "<-1>": BilinearForm(IntMatrix.from_rows([[-1]])),
+    "H": HYPERBOLIC,
+}
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.sampled_from(sorted(BLOCKS)), min_size=1, max_size=8).filter(
+        lambda names: sum(BLOCKS[b].rank for b in names) <= 20
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_report_is_congruence_invariant(names, rng):
+    # definite, indefinite, even, odd, and definite past the rank cap (note)
+    base = BLOCKS[names[0]]
+    for name in names[1:]:
+        base = direct_sum(base, BLOCKS[name])
+    p = random_unimodular(rng, base.rank)
+    notes = ("candidate",)
+    assert analyze_intersection_form(conjugated(base, p), notes) == analyze_intersection_form(
+        base, notes
+    )
 
 
 def test_report_invariant_validation():
