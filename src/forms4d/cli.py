@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from . import __version__
@@ -164,15 +164,7 @@ def _group_from_json(doc) -> FiniteGroup:
 
 def _invariants_payload(form: BilinearForm) -> dict:
     inv = invariants(form)
-    return {
-        "rank": inv.rank,
-        "signature": list(inv.signature),
-        "signature_value": inv.signature_value,
-        "determinant": inv.determinant,
-        "parity": inv.parity,
-        "unimodular": inv.unimodular,
-        "definiteness": inv.definiteness,
-    }
+    return {**asdict(inv), "signature_value": inv.signature_value}
 
 
 # --- command handlers -----------------------------------------------------------
@@ -194,12 +186,7 @@ def _cmd_abelianize(args) -> CommandResult:
     h1 = abelianize(pres)
     payload = {"free_rank": h1.free_rank, "torsion": list(h1.torsion)}
     if args.galois:
-        rep = galois_surrogate(pres)
-        payload["galois"] = {
-            "torsion_aut_order": rep.torsion_aut_order,
-            "is_abelian": rep.is_abelian,
-            "free_rank_note": rep.free_rank_note,
-        }
+        payload["galois"] = asdict(galois_surrogate(pres))
     return CommandResult("ok", payload)
 
 
@@ -273,12 +260,7 @@ def _cmd_group_ring(args) -> CommandResult:
             "notes": list(decomp.notes),
         }
     if args.aut:
-        rep = aut_bruteforce(group)
-        payload["aut"] = {
-            "torsion_aut_order": rep.torsion_aut_order,
-            "is_abelian": rep.is_abelian,
-            "free_rank_note": rep.free_rank_note,
-        }
+        payload["aut"] = asdict(aut_bruteforce(group))
     return CommandResult("ok", payload)
 
 

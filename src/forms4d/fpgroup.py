@@ -3,8 +3,9 @@
 Abelianization goes through the relator exponent-sum matrix and its Smith
 normal form. The automorphism group of H_1 is sized by the Hillar-Rhea
 formula for finite abelian groups; `aut_bruteforce` enumerates automorphisms
-of small groups given as Cayley tables or invariants and is the reference the
-tests hold the formula to.
+of small abelian groups and is the reference the tests hold the formula to. A
+Cayley table goes through `groupring.primary_invariants` first, so every group
+is enumerated on its mixed-radix labels.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import CapExceededError
-# `snf` and `abelian_group` stay bound here because perfbench/tracing.py wraps
-# fpgroup.snf and fpgroup.abelian_group by name
+# `snf` stays bound here because perfbench/tracing.py wraps fpgroup.snf by name
 from .exactla import IntMatrix, snf, snf_diagonal  # noqa: F401
-from .groupring import FiniteGroup, abelian_group, strides  # noqa: F401
+from .groupring import FiniteGroup, abelian_group, primary_invariants, strides
 from .nt import abelian_aut_order
 
 AUT_BRUTEFORCE_ORDER_CAP = 200
@@ -116,29 +116,14 @@ class AutReport:
     free_rank_note: str | None = None
 
 
-def _greedy_generators(group: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    span = {0}
-    while len(span) < group.order:
-        g = min(x for x in range(group.order) if x not in span)
-        gens.append(g)
-        frontier = set(span)
-        frontier.add(g)
-        closed = False
-        while not closed:
-            new = {group.mul(a, b) for a in frontier for b in frontier} | frontier
-            closed = new == frontier
-            frontier = new
-        span = frontier
-    return gens
-
-
 def aut_bruteforce(group: FiniteGroup) -> AutReport:
     """|Aut| and its commutativity for an abelian group, by exhaustion.
 
-    Candidate maps send each generator to an element of compatible order;
-    bijective homomorphisms are counted and composed pairwise (two
-    homomorphisms agree iff they agree on the generators).
+    Aut depends only on the isomorphism type, so a group without declared
+    invariants is replaced by abelian_group(primary_invariants(group)). Each
+    generator e_i of Z/m_i goes to an element whose order divides m_i, which
+    always gives a homomorphism; the bijective ones are counted and composed
+    pairwise (two homomorphisms agree iff they agree on the generators).
     """
     if group.order > AUT_BRUTEFORCE_ORDER_CAP:
         raise CapExceededError(
@@ -147,25 +132,25 @@ def aut_bruteforce(group: FiniteGroup) -> AutReport:
         )
     if not group.is_abelian():
         raise ValueError("automorphism brute force requires an abelian group")
+    if group.abelian_invariants is None:
+        group = abelian_group(primary_invariants(group))
 
     n = group.order
+    table = group.table
+    moduli = group.abelian_invariants
     element_orders = [group.element_order(g) for g in range(n)]
 
-    if group.abelian_invariants is not None:
-        orders = group.abelian_invariants
-        gens = strides(orders)
-        candidate_sets = [
-            [x for x in range(n) if orders[i] % element_orders[x] == 0]
-            for i in range(len(gens))
-        ]
-        verify_pairs = False  # basis relations are exactly the cyclic ones
-    else:
-        gens = _greedy_generators(group)
-        candidate_sets = [
-            [x for x in range(n) if element_orders[gen] % element_orders[x] == 0]
-            for gen in gens
-        ]
-        verify_pairs = True
+    def multiples(y: int, m: int) -> list[int]:
+        out = [0]
+        for _ in range(m - 1):
+            out.append(table[out[-1]][y])
+        return out
+
+    # candidate images of e_i, each as its multiples 0, y, ..., (m_i - 1)y
+    candidate_sets = [
+        [multiples(y, m) for y in range(n) if m % element_orders[y] == 0]
+        for m in moduli
+    ]
 
     budget = 1
     for s in candidate_sets:
@@ -176,50 +161,21 @@ def aut_bruteforce(group: FiniteGroup) -> AutReport:
             f"budget {_AUT_CANDIDATE_BUDGET}"
         )
 
-    # Express every element over the generators once, so a candidate map can be
-    # evaluated everywhere: walk the group breadth-first multiplying by gens.
-    parent: list[tuple[int, int] | None] = [None] * n  # element -> (parent, gen slot)
-    bfs_order = [0]
-    frontier = [0]
-    seen = {0}
-    while frontier:
-        nxt = []
-        for e in frontier:
-            for slot, g in enumerate(gens):
-                t = group.mul(e, g)
-                if t not in seen:
-                    seen.add(t)
-                    parent[t] = (e, slot)
-                    nxt.append(t)
-                    bfs_order.append(t)
-        frontier = nxt
-
-    automorphisms: list[tuple[int, ...]] = []
+    automorphisms: list[list[int]] = []
     for images in itertools.product(*candidate_sets):
-        phi = [-1] * n
-        phi[0] = 0
-        ok = True
-        for e in bfs_order[1:]:
-            pe, slot = parent[e]  # type: ignore[misc]
-            phi[e] = group.mul(phi[pe], images[slot])
-        if len(set(phi)) != n:
-            continue
-        if verify_pairs:
-            for a in range(n):
-                row = group.table[a]
-                pa = phi[a]
-                if any(phi[row[b]] != group.mul(pa, phi[b]) for b in range(n)):
-                    ok = False
-                    break
-        if ok:
-            automorphisms.append(tuple(phi))
+        # the mixed-radix composition of abelian_group: phi(g*m + i) = phi(g) + i*y
+        phi = [0]
+        for mult in images:
+            phi = [table[a][b] for a in phi for b in mult]
+        if len(set(phi)) == n:
+            automorphisms.append(phi)
 
-    gen_indices = gens
+    gens = strides(moduli)
     abelian = all(
         s[t[g]] == t[s[g]]
         for i, s in enumerate(automorphisms)
         for t in automorphisms[i + 1 :]
-        for g in gen_indices
+        for g in gens
     )
     return AutReport(torsion_aut_order=len(automorphisms), is_abelian=abelian)
 

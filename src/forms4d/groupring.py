@@ -1,10 +1,12 @@
 """Group rings of finite groups and their regular-representation trace form.
 
 Finite groups are Cayley tables with element 0 the identity; a direct sum of
-cyclic groups labels its elements in mixed radix (`strides`). The integral
-group ring Z[G] carries the non-degenerate pairing Q(x, y) = trace of left
-multiplication by x*y, whose Gram matrix is |G| at the (g, h) with gh = e and
-0 elsewhere; Q satisfies Q(xy, z) = Q(x, yz).
+cyclic groups labels its elements in mixed radix (`strides`), and its table is
+composed one cyclic factor at a time. `primary_invariants` recovers the
+prime-power cyclic factors of an abelian Cayley table from its element
+orders. The integral group ring Z[G] carries the non-degenerate pairing
+Q(x, y) = trace of left multiplication by x*y, whose Gram matrix is |G| at
+the (g, h) with gh = e and 0 elsewhere; Q satisfies Q(xy, z) = Q(x, yz).
 """
 
 from __future__ import annotations
@@ -116,33 +118,54 @@ def strides(invariants: Sequence[int]) -> list[int]:
 
 
 def abelian_group(invariants: Sequence[int]) -> FiniteGroup:
-    """Direct sum of cyclic groups Z/m_1 + ... + Z/m_k (empty list: trivial group)."""
+    """Direct sum of cyclic groups Z/m_1 + ... + Z/m_k (empty list: trivial group).
+
+    The table is composed one cyclic factor at a time: in G + Z/m the element
+    (g, i) has label g*m + i, so row (g, i) is T[g][h]*m + (i + j) mod m over
+    h and j. These are the mixed-radix labels of `strides`.
+    """
     invs = tuple(int(m) for m in invariants)
     if any(m < 2 for m in invs):
         raise ValueError("every invariant must be >= 2")
     order = 1
-    for m in invs:
+    for k, m in enumerate(invs, 1):
         order *= m
-    if order > GROUP_ORDER_CAP:
-        raise CapExceededError(f"group order {order} exceeds the cap {GROUP_ORDER_CAP}")
+        if order > GROUP_ORDER_CAP:
+            if k == len(invs):
+                raise CapExceededError(f"group order {order} exceeds the cap {GROUP_ORDER_CAP}")
+            raise CapExceededError(
+                f"group order exceeds the cap {GROUP_ORDER_CAP}: the first {k} of "
+                f"{len(invs)} invariants already multiply to {order}"
+            )
 
-    places = strides(invs)
-    digits = []
-    for idx in range(order):
-        rem = idx
-        row = []
-        for s in places:
-            row.append(rem // s)
-            rem %= s
-        digits.append(row)
-
-    table = []
-    for a in digits:
-        row = []
-        for b in digits:
-            row.append(sum(((x + y) % m) * s for x, y, m, s in zip(a, b, invs, places)))
-        table.append(tuple(row))
+    table: list[tuple[int, ...]] = [(0,)]
+    for m in invs:
+        shifts = [[(i + j) % m for j in range(m)] for i in range(m)]
+        table = [
+            tuple([t * m + s for t in row for s in shift]) for row in table for shift in shifts
+        ]
     return FiniteGroup(order, tuple(table), abelian_invariants=invs)
+
+
+def primary_invariants(group: FiniteGroup) -> list[int]:
+    """Prime-power orders of the cyclic factors of an abelian group, ascending.
+
+    They are read off the element orders: p^k kills p^(s_k) elements, and
+    s_k - s_(k-1) cyclic factors have order >= p^k.
+    """
+    if not group.is_abelian():
+        raise ValueError("primary invariants need an abelian group")
+    orders = [group.element_order(g) for g in range(group.order)]
+    out: list[int] = []
+    for p, e in factorize(group.order):
+        # p^(e+1) kills no more elements than p^e
+        s = [
+            dict(factorize(sum(1 for d in orders if p**k % d == 0))).get(p, 0)
+            for k in range(e + 2)
+        ]
+        for k in range(1, e + 1):
+            out += [p**k] * ((s[k] - s[k - 1]) - (s[k + 1] - s[k]))
+    return sorted(out)
 
 
 def symmetric_group_s3() -> FiniteGroup:

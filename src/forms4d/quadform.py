@@ -3,8 +3,9 @@
 Witt-notation constructors, the diagonal trace-form models for odd-prime and
 two-power conductors, polarization, form invariants, bounded short-vector
 enumeration and diagonalizability over Z. Invariants and enumeration both read
-one fraction-free `exactla.symmetric_elimination`; only polarization and the
-enumeration's remaining bound are rational.
+the form's one fraction-free `exactla.symmetric_elimination`, computed once
+per form and cached; only polarization and the enumeration's remaining bound
+are rational.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ class BilinearForm:
     @property
     def rank(self) -> int:
         return self.gram.rows
+
+    @functools.cached_property
+    def elimination(self) -> exactla.SymmetricElimination:
+        """The form's one `symmetric_elimination`, shared by its invariants and enumeration."""
+        return exactla.symmetric_elimination(self.gram)
 
     def negated(self) -> "BilinearForm":
         return BilinearForm(self.gram.negated())
@@ -290,8 +296,8 @@ class FormInvariants:
 
 
 def invariants(f: BilinearForm) -> FormInvariants:
-    """All standard invariants of a form, from one `symmetric_elimination`."""
-    elim = exactla.symmetric_elimination(f.gram)
+    """All standard invariants of a form, from its `elimination`."""
+    elim = f.elimination
     even = all(f.gram.at(i, i) % 2 == 0 for i in range(f.rank))
     pos, neg, zero = elim.inertia
     if zero > 0:
@@ -338,7 +344,7 @@ def short_vectors(f: BilinearForm, bound: int) -> list[tuple[int, ...]]:
     """All nonzero v with v^T G v <= bound, one of each +-pair.
 
     Exact Fincke-Pohst enumeration (Math. Comp. 44, 1985) on the integer pivot
-    rows b of `exactla.symmetric_elimination`: q(x) = sum_i y_i^2 / (D_i D_{i+1})
+    rows b of the form's `elimination`: q(x) = sum_i y_i^2 / (D_i D_{i+1})
     with y_i = sum_{j>=i} b_ij x_j and leading minors D_0 = 1, D_1, ..., D_n.
     Coordinates are fixed from the last one down; each level's range of y_i
     comes from one integer square root, and only the remaining bound is a
@@ -356,7 +362,7 @@ def short_vectors(f: BilinearForm, bound: int) -> list[tuple[int, ...]]:
             f"short-vector bound must be in 1..{SHORT_VECTOR_BOUND_CAP}, got {bound}"
         )
     n = f.rank
-    elim = exactla.symmetric_elimination(f.gram)
+    elim = f.elimination
     if elim.inertia != (n, 0, 0):
         raise ValueError("form is not positive definite")
     rows = elim.rows

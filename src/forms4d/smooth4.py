@@ -16,10 +16,9 @@ from typing import Sequence, Union
 from . import quadform
 from .errors import CapExceededError, NonUnimodularFormError
 from .groupring import FiniteGroup, frobenius_form
-from .quadform import BilinearForm
+from .quadform import SHORT_VECTOR_RANK_CAP, BilinearForm
 
 NOT_EVALUATED = "not_evaluated"
-DONALDSON_RANK_CAP = 16
 H2_GROUP_ORDER_CAP = 64
 
 Diagonalizable = Union[bool, str]
@@ -81,8 +80,8 @@ def analyze_intersection_form(
 
     Non-unimodular input is rejected: it cannot be the intersection form of a
     closed simply connected 4-manifold. Diagonalizability is only decided for
-    definite forms up to rank 16; beyond that the report says so instead of
-    guessing.
+    definite forms up to the short-vector rank cap (16); beyond that the
+    report says so instead of guessing.
     """
     inv = quadform.invariants(f)
     if not inv.unimodular:
@@ -95,13 +94,13 @@ def analyze_intersection_form(
     definite = inv.is_definite
 
     diagonalizable: Diagonalizable
-    if definite and f.rank <= DONALDSON_RANK_CAP:
+    if definite and f.rank <= SHORT_VECTOR_RANK_CAP:
         positive = f if inv.definiteness == "positive" else f.negated()
         diagonalizable = quadform.is_diagonalizable_over_Z(positive)
     elif definite:
         diagonalizable = NOT_EVALUATED
         out_notes.append(
-            f"rank {f.rank} exceeds the diagonalizability cap {DONALDSON_RANK_CAP}; "
+            f"rank {f.rank} exceeds the diagonalizability cap {SHORT_VECTOR_RANK_CAP}; "
             "Donaldson criterion not evaluated"
         )
     else:

@@ -5,7 +5,9 @@ enumerates minors directly, so neither shares any code path with the library
 routines they check. The cyclotomic trace oracles are the regular
 representation (power by power) and a high-precision sum over the complex
 embeddings; the Donaldson oracle searches for an orthonormal basis, and the
-short-vector oracle scans a box instead of enumerating level by level.
+short-vector oracle scans a box instead of enumerating level by level. The
+abelian-group oracle adds mixed-radix digits entry by entry instead of
+composing the table one cyclic factor at a time.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import mpmath
 
 from forms4d.cyclotomic import CyclotomicElement, cyc_mul
 from forms4d.exactla import IntMatrix
+from forms4d.groupring import strides
 from forms4d.quadform import BilinearForm, bilinear_value, short_vectors
 
 DEFAULT_ORACLE_DIGITS = 30
@@ -182,3 +185,30 @@ def short_vectors_by_box(gram: IntMatrix, bound: int) -> list[tuple[int, ...]]:
             if sum(rows[i][j] * v[i] * v[j] for i in range(n) for j in range(n)) <= bound:
                 found.append(v)
     return sorted(found)
+
+
+def abelian_table_by_digits(invariants: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Cayley table of Z/m_1 + ... + Z/m_k: split both labels into mixed-radix
+    digits and add them digit by digit."""
+    places = strides(invariants)
+    order = 1
+    for m in invariants:
+        order *= m
+    digits = [[label // s % m for m, s in zip(invariants, places)] for label in range(order)]
+    return tuple(
+        tuple(
+            sum(((x + y) % m) * s for x, y, m, s in zip(a, b, invariants, places))
+            for b in digits
+        )
+        for a in digits
+    )
+
+
+def relabelled_cayley_table(table, rng: random.Random) -> list[list[int]]:
+    """The same group under a random relabelling that fixes the identity 0."""
+    n = len(table)
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    inverse = [0] * n
+    for label, image in enumerate(perm):
+        inverse[image] = label
+    return [[perm[table[inverse[a]][inverse[b]]] for b in range(n)] for a in range(n)]

@@ -259,6 +259,19 @@ def test_group_ring_order_cap(tmp_path, capsys):
     assert "512" in doc["diagnostics"][0]
 
 
+def test_group_ring_long_invariant_list_exits_two(tmp_path, capsys):
+    # the cap is checked on partial products, so no 10^6-bit order is ever formed
+    path = write_json(tmp_path, "g.json", {"abelian_invariants": [2] * 10**6})
+    start = time.perf_counter()
+    code, doc, _ = run_cli(capsys, "group-ring", path)
+    assert time.perf_counter() - start < 5
+    assert code == 2
+    assert doc["diagnostics"] == [
+        "group order exceeds the cap 512: the first 10 of 1000000 invariants "
+        "already multiply to 1024"
+    ]
+
+
 def test_analyze_form_fixtures(capsys):
     code, doc, _ = run_cli(capsys, "analyze-form", "--fixture", "e8")
     assert code == 0

@@ -11,10 +11,10 @@ from forms4d.fpgroup import (
     aut_bruteforce,
     galois_surrogate,
 )
-from forms4d.groupring import abelian_group, symmetric_group_s3
-from forms4d.nt import abelian_aut_order, euler_phi
+from forms4d.groupring import FiniteGroup, abelian_group, primary_invariants, symmetric_group_s3
+from forms4d.nt import abelian_aut_order, euler_phi, factorize
 
-from support import unfactorable_presentation
+from support import relabelled_cayley_table, unfactorable_presentation
 
 # non-cyclic groups whose brute-force enumeration fits the candidate budget
 NON_CYCLIC = (
@@ -112,6 +112,36 @@ def test_aut_bruteforce_on_explicit_cayley_table():
     )
     report = aut_bruteforce(z6)
     assert report.torsion_aut_order == 2 and report.is_abelian
+
+
+def invariant_chains(max_order):
+    """Every abelian group of order <= max_order, as its chain d_1 | d_2 | ..."""
+    out = []
+
+    def rec(prefix, order):
+        out.append(prefix)
+        for d in range(prefix[-1] if prefix else 2, max_order // order + 1):
+            if not prefix or d % prefix[-1] == 0:
+                rec(prefix + [d], order * d)
+
+    rec([], 1)
+    return out
+
+
+def test_aut_bruteforce_on_relabelled_cayley_tables():
+    rng = random.Random(24)
+    chains = invariant_chains(24)
+    assert len(chains) == 37  # the abelian groups of order 1..24
+    for chain in chains:
+        table = abelian_group(chain).table
+        for _ in range(3):
+            group = FiniteGroup.from_cayley_table(relabelled_cayley_table(table, rng))
+            factored = sorted(p**e for m in chain for p, e in factorize(m))
+            assert primary_invariants(group) == factored, chain
+            report = aut_bruteforce(group)
+            assert report.torsion_aut_order == abelian_aut_order(chain), chain
+            cyclic = any(group.element_order(g) == group.order for g in range(group.order))
+            assert report.is_abelian == cyclic, chain
 
 
 def test_aut_bruteforce_caps():

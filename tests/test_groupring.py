@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forms4d.errors import CapExceededError
 from forms4d.exactla import IntMatrix, determinant
@@ -11,11 +13,14 @@ from forms4d.groupring import (
     conjugate,
     frobenius_form,
     gr_mul,
+    primary_invariants,
     regular_representation,
     symmetric_group_s3,
     wedderburn_decompose,
 )
 from forms4d.quadform import bilinear_value
+
+from support import abelian_table_by_digits
 
 
 def random_ring_element(rng, group, bound=5):
@@ -40,8 +45,40 @@ def test_abelian_group_construction():
 def test_abelian_group_rejects_bad_input():
     with pytest.raises(ValueError):
         abelian_group([1, 3])
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="group order 513 exceeds the cap 512"):
         abelian_group([513])
+    with pytest.raises(CapExceededError, match="group order 1024 exceeds the cap 512"):
+        abelian_group([4, 256])
+    # a longer list stops at the first partial product past the cap and names only that
+    with pytest.raises(CapExceededError) as info:
+        abelian_group([2] * 14_000)
+    assert str(info.value) == (
+        "group order exceeds the cap 512: the first 10 of 14000 invariants "
+        "already multiply to 1024"
+    )
+
+
+def within_order(invariants, cap=256):
+    """The longest prefix of the list whose product stays within cap."""
+    order = 1
+    for k, m in enumerate(invariants):
+        order *= m
+        if order > cap:
+            return invariants[:k]
+    return invariants
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.integers(2, 16), max_size=6).map(within_order))
+def test_abelian_group_matches_digit_oracle(invariants):
+    group = abelian_group(invariants)
+    assert group.table == abelian_table_by_digits(invariants)
+    assert group.abelian_invariants == tuple(invariants)
+
+
+def test_primary_invariants_rejects_nonabelian():
+    with pytest.raises(ValueError, match="abelian"):
+        primary_invariants(symmetric_group_s3())
 
 
 def test_s3_shape():

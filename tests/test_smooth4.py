@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forms4d import exactla
+from forms4d.cli import main
 from forms4d.errors import CapExceededError, NonUnimodularFormError
 from forms4d.exactla import IntMatrix
 from forms4d.groupring import abelian_group, symmetric_group_s3
@@ -172,6 +174,33 @@ def test_report_json_key_order():
         "smooth_obstructed",
         "notes",
     ]
+
+
+def test_analysis_runs_one_elimination_per_form(monkeypatch, capsys):
+    calls = []
+    eliminate = exactla.symmetric_elimination
+
+    def counted(gram):
+        calls.append(gram.rows)
+        return eliminate(gram)
+
+    monkeypatch.setattr(exactla, "symmetric_elimination", counted)
+
+    def count(run) -> int:
+        calls.clear()
+        run()
+        return len(calls)
+
+    e8 = e8_form().gram
+    assert count(lambda: analyze_intersection_form(BilinearForm(e8))) == 1
+    e8_form.cache_clear()  # the CLI fixture then builds and checks E8 afresh
+    assert count(lambda: main(["analyze-form", "--fixture", "e8"])) == 1
+    assert count(lambda: main(["analyze-form", "--fixture", "In:12"])) == 1
+    # the negation is a second form, with its own elimination
+    assert count(lambda: analyze_intersection_form(BilinearForm(e8.negated()))) == 2
+    assert count(lambda: h2_from_group_ring(abelian_group([3]))) == 1
+    assert count(lambda: h2_from_group_ring(abelian_group([]))) == 1
+    capsys.readouterr()
 
 
 def test_h2_trivial_group_is_unobstructed():
